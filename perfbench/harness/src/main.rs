@@ -34,17 +34,17 @@ use workloads::{Prepared, Workload};
 /// Units of an untraced run at least, so that no figure rests on the
 /// process's first campaign alone, which runs cold.
 const MIN_UNITS: usize = 3;
-/// Set-up is timed at least this often per run; `setup_s` is the median.
+/// `setup_s` samples per run at least, each a batch of set-ups; the
+/// metric is their median.
 const SETUP_SAMPLES: usize = 21;
 /// Seeded lookups per unit: enough that more than 10 samples of a unit
 /// lie beyond the unit's p99.
 const LOOKUPS: usize = 1_500;
 /// Store opens per unit, for `store.open_us`.
 const OPENS: usize = 16;
-/// Traced units in a `--trace 1` run, each after an untraced one.
-const TRACED_UNITS: usize = 2;
-/// Layers listed per workload in `nn.layer_ns.top<k>`.
-const TOP_LAYERS: usize = 8;
+/// Traced units in a `--trace 1` run, each between two warm untraced
+/// ones.
+const TRACED_UNITS: usize = 3;
 
 struct Args {
     workload: Workload,
@@ -170,8 +170,41 @@ fn prepare_lookups(
     })
 }
 
+/// The `setup_s` samples of an untraced run. A sample is the mean time
+/// of `Workload::setup_batch` set-ups run back to back, so each covers
+/// about 150 ms. The samples are taken between read-back steps, so they
+/// see the same host periods as the other timed metrics.
+struct SetupSamples {
+    workload: Workload,
+    seed: u64,
+    /// Samples to take during each unit's read-back.
+    per_unit: usize,
+    /// Set-ups run so far; numbers the next one's seed.
+    done: usize,
+    /// Mean set-up time of each batch, in seconds.
+    samples: Vec<f64>,
+}
+
+impl SetupSamples {
+    fn take(&mut self, ops: &mut Ops) {
+        let k = self.workload.setup_batch();
+        let mut ns = 0u64;
+        for _ in 0..k {
+            let mut spans = Spans::new();
+            let seed = unit_seed(self.seed, self.done);
+            let t0 = Instant::now();
+            let p = workloads::setup(self.workload, seed, &mut spans);
+            ns += t0.elapsed().as_nanos() as u64;
+            self.done += 1;
+            ops.record("setup", p.map(|_| true));
+        }
+        self.samples.push(ns as f64 / k as f64 / 1e9);
+    }
+}
+
 /// Report passes and seeded lookups over a finished unit, each checked.
-/// They alternate, so both sample the whole read-back window.
+/// They alternate, so both sample the whole read-back window; `setup`
+/// samples, if given, are spread between them.
 fn read_back(
     w: Workload,
     seed: u64,
@@ -179,6 +212,7 @@ fn read_back(
     rows: usize,
     spans: &mut Spans,
     ops: &mut Ops,
+    mut setup: Option<&mut SetupSamples>,
 ) -> ReadBack {
     let mut out = ReadBack::default();
     let scratch = dir.with_extension("read");
@@ -207,6 +241,12 @@ fn read_back(
             covered == rows as u64 && totals == rows as u64 && same
         });
         ops.record("report pass", outcome);
+
+        if let Some(s) = setup.as_deref_mut() {
+            for _ in s.per_unit * pass / passes..s.per_unit * (pass + 1) / passes {
+                s.take(ops);
+            }
+        }
 
         let Some(l) = lookups.as_mut() else { continue };
         let span = spans.begin("store.lookup_fault");
@@ -344,7 +384,13 @@ fn untraced(
     ops: &mut Ops,
 ) -> BTreeMap<&'static str, (f64, &'static str)> {
     let w = args.workload;
-    let mut setup_s = Vec::new();
+    let mut setup = SetupSamples {
+        workload: w,
+        seed: args.seed,
+        per_unit: SETUP_SAMPLES.div_ceil(units),
+        done: 0,
+        samples: Vec::new(),
+    };
     let (mut rows, mut run_ns) = (0u64, 0u64);
     let (mut report_rows, mut report_ns) = (0u64, 0u64);
     let (mut p50_us, mut p99_us) = (Vec::new(), Vec::new());
@@ -354,19 +400,20 @@ fn untraced(
         let Some(u) = plain_unit(args, unit, seed, ops) else {
             continue;
         };
-        setup_s.push(u.setup_ns as f64 / 1e9);
         rows += u.ran.rows as u64;
         run_ns += u.ran.run_ns + u.ran.kpi_ns;
         bytes_per_row.push(u.artifact_bytes as f64 / u.ran.rows.max(1) as f64);
         let dir = args.work_dir.join(format!("unit{unit}"));
         let mut spans = Spans::new();
-        let rb = read_back(w, seed, &dir, u.ran.rows, &mut spans, ops);
+        let first_sample = setup.samples.len();
+        let rb = read_back(w, seed, &dir, u.ran.rows, &mut spans, ops, Some(&mut setup));
         println!(
-            "unit {{\"unit\": {unit}, \"seed\": {seed}, \"rows\": {}, \"artifact_bytes\": {}, \"artifact_digest\": \"{}\", \"setup_ms\": {:.3}, \"run_with_ms\": {:.3}, \"kpi_ms\": {:.3}, \"report_rows_per_s\": {:.0}, \"lookup_p50_us\": {:.1}, \"lookup_p99_us\": {:.1}}}",
+            "unit {{\"unit\": {unit}, \"seed\": {seed}, \"rows\": {}, \"artifact_bytes\": {}, \"artifact_digest\": \"{}\", \"setup_ms\": {:.3}, \"setup_batch_ms\": {:.3}, \"run_with_ms\": {:.3}, \"kpi_ms\": {:.3}, \"report_rows_per_s\": {:.0}, \"lookup_p50_us\": {:.1}, \"lookup_p99_us\": {:.1}}}",
             u.ran.rows,
             u.artifact_bytes,
             u.digest,
             u.setup_ns as f64 / 1e6,
+            median(&setup.samples[first_sample..]) * 1e3,
             u.ran.run_ns as f64 / 1e6,
             u.ran.kpi_ns as f64 / 1e6,
             rb.report_rows as f64 / (rb.report_ns as f64 / 1e9),
@@ -378,14 +425,6 @@ fn untraced(
         p50_us.push(quantile(&rb.lookup_us, 0.50));
         p99_us.push(quantile(&rb.lookup_us, 0.99));
         let _ = std::fs::remove_dir_all(&dir);
-        // Further set-ups, spread over the run, so `setup_s` is a median
-        // of at least SETUP_SAMPLES samples.
-        while setup_s.len() < SETUP_SAMPLES * (unit + 1) / units {
-            let t0 = Instant::now();
-            let p = workloads::setup(w, unit_seed(args.seed, setup_s.len()), &mut Spans::new());
-            setup_s.push(t0.elapsed().as_nanos() as f64 / 1e9);
-            std::hint::black_box(p.is_ok());
-        }
     }
 
     let mut m = BTreeMap::new();
@@ -397,7 +436,7 @@ fn untraced(
         "inferences_per_s",
         (rows as f64 / (run_ns as f64 / 1e9), "1/s"),
     );
-    m.insert("setup_s", (median(&setup_s), "s"));
+    m.insert("setup_s", (median(&setup.samples), "s"));
     m.insert("peak_rss_mb", (vm_kib("VmHWM") as f64 / 1024.0, "MB"));
     m.insert(
         "artifact_bytes_per_inference",
@@ -498,7 +537,7 @@ fn traced_unit(args: &Args, unit: usize, seed: u64, ops: &mut Ops) -> Option<Tra
         args.work_dir
             .join(format!("unit{unit}-{}", alfi::trace::EVENTS_FILE)),
     );
-    let read = read_back(w, seed, &dir, ran.rows, &mut spans, ops);
+    let read = read_back(w, seed, &dir, ran.rows, &mut spans, ops, None);
     let probes = match workloads::probes(w, seed, &mut spans) {
         Ok(p) => p,
         Err(e) => {
@@ -552,49 +591,54 @@ fn traced_unit(args: &Args, unit: usize, seed: u64, ops: &mut Ops) -> Option<Tra
 fn traced(args: &Args, ops: &mut Ops) -> BTreeMap<&'static str, (f64, &'static str)> {
     let w = args.workload;
     let mut m: BTreeMap<&'static str, (f64, &'static str)> = BTreeMap::new();
-    // Untraced and traced units alternate. The first untraced unit is
-    // the process's first campaign: it gives memory growth and the
-    // reference artifacts; the later ones are warm, like the traced
-    // units they are compared with for the tracing overhead.
-    let mut plain = Vec::new();
-    let mut units: Vec<TracedUnit> = Vec::new();
-    let mut reports = Vec::new();
-    let mut rss_growth_kib = 0;
+    // Unit 0 is the process's first campaign, untraced: it gives memory
+    // growth and the reference artifacts and report. Then warm untraced
+    // and traced units alternate, starting and ending untraced, so each
+    // traced unit sits between two untraced ones for the tracing
+    // overhead: P0 P1 T2 P3 T4 P5 T6 P7.
     let seed = unit_seed(args.seed, 0);
-    for unit in 0..2 * TRACED_UNITS {
-        if unit % 2 == 1 {
-            units.extend(traced_unit(args, unit, seed, ops));
+    let Some(cold) = plain_unit(args, 0, seed, ops) else {
+        return m;
+    };
+    let rss_growth_kib = vm_kib("VmHWM").saturating_sub(cold.rss_after_setup_kib);
+    let dir = args.work_dir.join("unit0");
+    let report = match workloads::report_pass(w, &dir) {
+        Ok((_, _, fingerprint)) => Some(fingerprint),
+        Err(e) => {
+            ops.check(&format!("untraced report: {e}"), false);
+            None
+        }
+    };
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut warm_run_ns = Vec::new();
+    let mut units: Vec<TracedUnit> = Vec::new();
+    for unit in 1..=2 * TRACED_UNITS + 1 {
+        if unit % 2 == 0 {
+            let Some(u) = traced_unit(args, unit, seed, ops) else {
+                return m;
+            };
+            units.push(u);
             continue;
         }
         let Some(p) = plain_unit(args, unit, seed, ops) else {
             return m;
         };
-        if unit == 0 {
-            rss_growth_kib = vm_kib("VmHWM").saturating_sub(p.rss_after_setup_kib);
-        }
-        let dir = args.work_dir.join(format!("unit{unit}"));
-        match workloads::report_pass(w, &dir) {
-            Ok((_, _, fingerprint)) => reports.push(fingerprint),
-            Err(e) => ops.check(&format!("untraced report: {e}"), false),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-        plain.push(p);
-    }
-    let Some(first) = units.first() else { return m };
-    for p in &plain {
         ops.check(
             "identical artifacts across untraced units",
-            p.digest == plain[0].digest,
+            p.digest == cold.digest,
         );
+        let _ = std::fs::remove_dir_all(args.work_dir.join(format!("unit{unit}")));
+        warm_run_ns.push(p.ran.run_ns as f64);
     }
+    let first = &units[0];
     for u in &units {
         ops.check(
             "traced artifacts identical to untraced",
-            u.digest == plain[0].digest,
+            u.digest == cold.digest,
         );
         ops.check(
             "traced report identical to untraced",
-            u.read.report == reports.first().cloned(),
+            u.read.report == report,
         );
         if let Some(e) = &u.event_log {
             // A defect of the program, reported but not gated: the
@@ -611,15 +655,9 @@ fn traced(args: &Args, ops: &mut Ops) -> BTreeMap<&'static str, (f64, &'static s
             );
         }
     }
-    let plain_run_ns = median(
-        &plain[1..]
-            .iter()
-            .map(|p| p.ran.run_ns as f64)
-            .collect::<Vec<_>>(),
-    );
     ops.check(
         "untraced artifact bytes match",
-        first.counters.artifact_bytes == plain[0].artifact_bytes,
+        first.counters.artifact_bytes == cold.artifact_bytes,
     );
     println!("{}", first.table);
     let med = |f: &dyn Fn(&TracedUnit) -> f64| median(&units.iter().map(f).collect::<Vec<_>>());
@@ -627,34 +665,57 @@ fn traced(args: &Args, ops: &mut Ops) -> BTreeMap<&'static str, (f64, &'static s
     let rows = c.rows.max(1) as f64;
     let lookups = LOOKUPS as f64;
     let threads = w.threads() as f64;
-    let traced_run_ns = med(&|u| u.run_ns as f64);
-    let overhead = traced_run_ns / plain_run_ns - 1.0;
+    // Each traced unit against the mean of its two untraced neighbours,
+    // which cancels a host speed that drifts steadily across the three.
+    let ratios: Vec<f64> = units
+        .iter()
+        .enumerate()
+        .map(|(k, u)| 2.0 * u.run_ns as f64 / (warm_run_ns[k] + warm_run_ns[k + 1]) - 1.0)
+        .collect();
+    let overhead = median(&ratios);
+    let spread = quantile(&ratios, 1.0) - quantile(&ratios, 0.0);
     println!(
-        "tracing overhead: untraced run_with {:.3} ms, traced {:.3} ms ({:+.2}%)",
-        plain_run_ns / 1e6,
-        traced_run_ns / 1e6,
-        100.0 * overhead
+        "tracing overhead: untraced run_with {:.3} ms, traced {:.3} ms; median of {} bracketed pairs {:+.2}%, range {:.2}% ({:+.2}%..{:+.2}%){}",
+        median(&warm_run_ns) / 1e6,
+        med(&|u| u.run_ns as f64) / 1e6,
+        ratios.len(),
+        100.0 * overhead,
+        100.0 * spread,
+        100.0 * quantile(&ratios, 0.0),
+        100.0 * quantile(&ratios, 1.0),
+        if spread > overhead.abs() {
+            ": unresolved, the pairs spread more than the overhead"
+        } else {
+            ""
+        }
     );
     let mut layers = Vec::new();
-    for (k, metric) in TOP_LAYER_NAMES.into_iter().enumerate() {
-        let name = first
-            .probes
-            .layer_ns
-            .get(k)
-            .map(|l| l.0.clone())
-            .unwrap_or_default();
-        layers.push(format!("\"top{}\": \"{name}\"", k + 1));
-        let value = med(&|u| {
-            u.probes
-                .layer_ns
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map_or(0.0, |l| l.1)
-        });
+    for (metric, name) in SLOT_METRICS.into_iter().zip(w.pinned_layers()) {
+        let per_forward: Vec<f64> = units
+            .iter()
+            .filter_map(|u| u.probes.layer_ns.iter().find(|(n, _)| n == name))
+            .map(|l| l.1)
+            .collect();
+        ops.check(
+            &format!("pinned layer `{name}` traced in every unit"),
+            per_forward.len() == units.len(),
+        );
+        let value = median(&per_forward);
+        let slot = metric.trim_start_matches("nn.layer_ns.");
+        layers.push(format!(
+            "\"{slot}\": {{\"layer\": \"{name}\", \"ns\": {value:.0}}}"
+        ));
         m.insert(metric, (value, "ns"));
     }
+    let costliest: Vec<String> = first
+        .probes
+        .layer_ns
+        .iter()
+        .take(SLOT_METRICS.len())
+        .map(|(n, _)| format!("\"{n}\""))
+        .collect();
     println!(
-        "detail {{\"workload\": \"{}\", \"unit_seed\": {}, \"artifact_digest\": \"{}\", \"counters\": {{\"rows\": {}, \"forwards\": {}, \"flops\": {}, \"tensor_bytes\": {}, \"pack_bytes\": {}, \"store_bytes_written\": {}, \"store_bytes_read\": {}, \"store_blocks_read\": {}, \"artifact_bytes\": {}}}, \"outcomes\": {{\"masked\": {}, \"sdc\": {}, \"due\": {}}}, \"layers\": {{{}}}}}",
+        "detail {{\"workload\": \"{}\", \"unit_seed\": {}, \"artifact_digest\": \"{}\", \"counters\": {{\"rows\": {}, \"forwards\": {}, \"flops\": {}, \"tensor_bytes\": {}, \"pack_bytes\": {}, \"store_bytes_written\": {}, \"store_bytes_read\": {}, \"store_blocks_read\": {}, \"artifact_bytes\": {}}}, \"outcomes\": {{\"masked\": {}, \"sdc\": {}, \"due\": {}}}, \"layers\": {{{}}}, \"costliest\": [{}]}}",
         w.name(),
         seed,
         first.digest,
@@ -670,7 +731,8 @@ fn traced(args: &Args, ops: &mut Ops) -> BTreeMap<&'static str, (f64, &'static s
         first.outcomes.0,
         first.outcomes.1,
         first.outcomes.2,
-        layers.join(", ")
+        layers.join(", "),
+        costliest.join(", ")
     );
     m.insert(
         "tensor.flops_per_inference",
@@ -771,6 +833,7 @@ fn traced(args: &Args, ops: &mut Ops) -> BTreeMap<&'static str, (f64, &'static s
     );
     m.insert("eval.kpi_ms", (med(&|u| u.kpi_ns as f64 / 1e6), "ms"));
     m.insert("trace.overhead_share", (overhead, "ratio"));
+    m.insert("trace.overhead_spread", (spread, "ratio"));
     m.insert("counters.rows", (c.rows as f64, "count"));
     m.insert("counters.forwards", (c.forwards as f64, "count"));
     m.insert("counters.flops", (c.flops as f64, "flop"));
@@ -789,15 +852,16 @@ fn traced(args: &Args, ops: &mut Ops) -> BTreeMap<&'static str, (f64, &'static s
     m
 }
 
-const TOP_LAYER_NAMES: [&str; TOP_LAYERS] = [
-    "nn.layer_ns.top1",
-    "nn.layer_ns.top2",
-    "nn.layer_ns.top3",
-    "nn.layer_ns.top4",
-    "nn.layer_ns.top5",
-    "nn.layer_ns.top6",
-    "nn.layer_ns.top7",
-    "nn.layer_ns.top8",
+/// Per-layer metrics of the layers `Workload::pinned_layers` names.
+const SLOT_METRICS: [&str; 8] = [
+    "nn.layer_ns.slot1",
+    "nn.layer_ns.slot2",
+    "nn.layer_ns.slot3",
+    "nn.layer_ns.slot4",
+    "nn.layer_ns.slot5",
+    "nn.layer_ns.slot6",
+    "nn.layer_ns.slot7",
+    "nn.layer_ns.slot8",
 ];
 
 fn main() -> ExitCode {

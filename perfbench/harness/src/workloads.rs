@@ -72,6 +72,56 @@ impl Workload {
         }
     }
 
+    /// Set-ups timed back to back as one `setup_s` sample: about 150 ms
+    /// of set-up on the reference machine, so no sample is a short
+    /// interval.
+    pub fn setup_batch(self) -> usize {
+        match self {
+            Workload::Vgg16Coupled => 10,
+            Workload::VitScale => 160,
+            Workload::YoloDetect => 44,
+        }
+    }
+
+    /// The golden-model layers behind `nn.layer_ns.slot1..8`: the eight
+    /// costliest at the commit that added the benchmark, costliest
+    /// first. They are fixed so that each metric always measures the
+    /// same layer, whatever a later change does to the ranking.
+    pub fn pinned_layers(self) -> [&'static str; 8] {
+        match self {
+            Workload::Vgg16Coupled => [
+                "classifier.fc2",
+                "features.conv2",
+                "classifier.fc1",
+                "features.conv4",
+                "features.conv6",
+                "features.conv7",
+                "features.conv10",
+                "features.conv1",
+            ],
+            Workload::VitScale => [
+                "blocks.0.mlp.gelu",
+                "blocks.1.mlp.gelu",
+                "patch_embed.proj",
+                "blocks.1.attn.out",
+                "blocks.0.attn.out",
+                "blocks.1.mlp.fc1",
+                "blocks.0.mlp.fc1",
+                "blocks.0.mlp.fc2",
+            ],
+            Workload::YoloDetect => [
+                "backbone.conv2",
+                "backbone.conv3",
+                "backbone.down1",
+                "head.conv",
+                "backbone.conv1",
+                "backbone.down2",
+                "backbone.down3",
+                "head.pred",
+            ],
+        }
+    }
+
     /// Campaign threads: every core for the `per_image` workloads, the
     /// sequential driver for the `per_batch` detector.
     pub fn threads(self) -> usize {
@@ -163,6 +213,37 @@ fn class_images(ds: &ClassificationDataset, n: usize) -> Result<Vec<Tensor>, Str
         .collect()
 }
 
+/// The golden classification model: vgg16 or `vit_tiny`.
+fn class_model(w: Workload) -> Network {
+    let mcfg = Workload::model_config();
+    match w {
+        Workload::Vgg16Coupled => vgg16(&mcfg),
+        _ => vit_tiny(&mcfg),
+    }
+}
+
+fn class_dataset(scenario: &Scenario) -> ClassificationDataset {
+    let mcfg = Workload::model_config();
+    ClassificationDataset::new(
+        scenario.dataset_size,
+        mcfg.num_classes,
+        mcfg.in_channels,
+        mcfg.input_hw,
+        scenario.seed,
+    )
+}
+
+fn det_dataset(scenario: &Scenario) -> DetectionDataset {
+    let dcfg = Workload::detector_config();
+    DetectionDataset::new(
+        scenario.dataset_size,
+        dcfg.num_classes,
+        dcfg.in_channels,
+        dcfg.input_hw,
+        scenario.seed,
+    )
+}
+
 /// Set-up: model build, hardening profile, target resolution and the
 /// pre-generated fault matrix, each under its own span.
 pub fn setup(w: Workload, seed: u64, spans: &mut Spans) -> Result<Prepared, String> {
@@ -170,17 +251,8 @@ pub fn setup(w: Workload, seed: u64, spans: &mut Spans) -> Result<Prepared, Stri
     match w {
         Workload::Vgg16Coupled | Workload::VitScale => {
             let mcfg = Workload::model_config();
-            let (model, _) = spans.time("nn.build", |_| match w {
-                Workload::Vgg16Coupled => vgg16(&mcfg),
-                _ => vit_tiny(&mcfg),
-            });
-            let ds = ClassificationDataset::new(
-                scenario.dataset_size,
-                mcfg.num_classes,
-                mcfg.in_channels,
-                mcfg.input_hw,
-                scenario.seed,
-            );
+            let (model, _) = spans.time("nn.build", |_| class_model(w));
+            let ds = class_dataset(&scenario);
             let hardened = if w == Workload::Vgg16Coupled {
                 let calib = class_images(&ds, CALIB_IMAGES)?;
                 let (bounds, _) = spans.time("mitigation.profile_bounds", |_| {
@@ -215,13 +287,7 @@ pub fn setup(w: Workload, seed: u64, spans: &mut Spans) -> Result<Prepared, Stri
         Workload::YoloDetect => {
             let dcfg = Workload::detector_config();
             let (detector, _) = spans.time("nn.build", |_| YoloGrid::new(&dcfg));
-            let ds = DetectionDataset::new(
-                scenario.dataset_size,
-                dcfg.num_classes,
-                dcfg.in_channels,
-                dcfg.input_hw,
-                scenario.seed,
-            );
+            let ds = det_dataset(&scenario);
             let (ground_truth, _) = spans.time("datasets.ground_truth", |_| ds.coco_ground_truth());
             let (matrix, _) = spans.time("matrix.generate", |_| {
                 let nets = detector.networks();
@@ -254,55 +320,44 @@ pub struct Ran {
 /// Runs the campaign, then its KPIs, timing both.
 pub fn run(prepared: &mut Prepared, cfg: &RunConfig, dir: &Path) -> Result<Ran, String> {
     let t0 = Instant::now();
-    match prepared {
-        Prepared::Class(c) => {
-            let result = c.run_with(cfg).map_err(err)?;
-            let run_ns = t0.elapsed().as_nanos() as u64;
-            let t1 = Instant::now();
-            std::hint::black_box(classification_kpis(
-                &result.rows,
-                SdeCriterion::Top1Mismatch,
-            ));
-            let kpi_ns = t1.elapsed().as_nanos() as u64;
-            Ok(Ran {
-                rows: result.rows.len(),
-                run_ns,
-                kpi_ns,
-            })
-        }
-        Prepared::Vit(c) => {
-            let result = c.run_with(cfg).map_err(err)?;
-            let run_ns = t0.elapsed().as_nanos() as u64;
-            let t1 = Instant::now();
-            std::hint::black_box(classification_kpis(
-                &result.rows,
-                SdeCriterion::Top1Mismatch,
-            ));
-            let kpi_ns = t1.elapsed().as_nanos() as u64;
-            Ok(Ran {
-                rows: result.rows.len(),
-                run_ns,
-                kpi_ns,
-            })
-        }
-        Prepared::Det(d) => {
-            let (scenario, loader, matrix) = d.parts.take().ok_or("campaign already ran")?;
-            let result = ObjDetCampaign::new(&mut d.detector, scenario, loader)
-                .with_fault_matrix(matrix)
-                .run_with(cfg)
-                .map_err(err)?;
-            let run_ns = t0.elapsed().as_nanos() as u64;
-            let t1 = Instant::now();
-            write_detection_outputs(&result, &d.ground_truth, d.num_classes, 0.5, dir)
-                .map_err(err)?;
-            let kpi_ns = t1.elapsed().as_nanos() as u64;
-            Ok(Ran {
-                rows: result.rows.len(),
-                run_ns,
-                kpi_ns,
-            })
-        }
+    let result = match prepared {
+        Prepared::Class(c) => c.run_with(cfg),
+        Prepared::Vit(c) => c.run_with(cfg),
+        Prepared::Det(d) => return run_detection(d, cfg, dir, t0),
     }
+    .map_err(err)?;
+    let run_ns = t0.elapsed().as_nanos() as u64;
+    let t1 = Instant::now();
+    std::hint::black_box(classification_kpis(
+        &result.rows,
+        SdeCriterion::Top1Mismatch,
+    ));
+    Ok(Ran {
+        rows: result.rows.len(),
+        run_ns,
+        kpi_ns: t1.elapsed().as_nanos() as u64,
+    })
+}
+
+fn run_detection(
+    d: &mut DetSetup,
+    cfg: &RunConfig,
+    dir: &Path,
+    t0: Instant,
+) -> Result<Ran, String> {
+    let (scenario, loader, matrix) = d.parts.take().ok_or("campaign already ran")?;
+    let result = ObjDetCampaign::new(&mut d.detector, scenario, loader)
+        .with_fault_matrix(matrix)
+        .run_with(cfg)
+        .map_err(err)?;
+    let run_ns = t0.elapsed().as_nanos() as u64;
+    let t1 = Instant::now();
+    write_detection_outputs(&result, &d.ground_truth, d.num_classes, 0.5, dir).map_err(err)?;
+    Ok(Ran {
+        rows: result.rows.len(),
+        run_ns,
+        kpi_ns: t1.elapsed().as_nanos() as u64,
+    })
 }
 
 /// One report pass over a finished run directory: `analyze_dir` for
@@ -362,15 +417,8 @@ pub fn probes(w: Workload, seed: u64, spans: &mut Spans) -> Result<Probes, Strin
     let scenario = w.scenario(seed);
     let (golden, images, epoch_ns): (Network, Vec<Tensor>, u64) = match w {
         Workload::YoloDetect => {
-            let dcfg = Workload::detector_config();
-            let net = YoloGrid::new(&dcfg).networks()[0].clone();
-            let ds = DetectionDataset::new(
-                scenario.dataset_size,
-                dcfg.num_classes,
-                dcfg.in_channels,
-                dcfg.input_hw,
-                scenario.seed,
-            );
+            let net = YoloGrid::new(&Workload::detector_config()).networks()[0].clone();
+            let ds = det_dataset(&scenario);
             let images = (0..GOLDEN_FORWARDS)
                 .map(|i| Tensor::stack(&[ds.get(i).image]).map_err(err))
                 .collect::<Result<_, _>>()?;
@@ -384,19 +432,7 @@ pub fn probes(w: Workload, seed: u64, spans: &mut Spans) -> Result<Probes, Strin
             (net, images, ns / n.max(1) as u64)
         }
         _ => {
-            let mcfg = Workload::model_config();
-            let net = if w == Workload::Vgg16Coupled {
-                vgg16(&mcfg)
-            } else {
-                vit_tiny(&mcfg)
-            };
-            let ds = ClassificationDataset::new(
-                scenario.dataset_size,
-                mcfg.num_classes,
-                mcfg.in_channels,
-                mcfg.input_hw,
-                scenario.seed,
-            );
+            let ds = class_dataset(&scenario);
             let images = class_images(&ds, GOLDEN_FORWARDS)?;
             let loader = ClassificationLoader::new(ds, scenario.batch_size);
             let (n, ns) = spans.time("datasets.iter_epoch", |_| {
@@ -405,7 +441,7 @@ pub fn probes(w: Workload, seed: u64, spans: &mut Spans) -> Result<Probes, Strin
                     .map(|b| std::hint::black_box(b).labels.len())
                     .sum::<usize>()
             });
-            (net, images, ns / n.max(1) as u64)
+            (class_model(w), images, ns / n.max(1) as u64)
         }
     };
     let mut forward_us = Vec::with_capacity(images.len());
