@@ -24,7 +24,7 @@ use alfi::core::campaign::RunConfig;
 use alfi::core::ReplayReader;
 use alfi::metrics::{names, Registry};
 use alfi::trace::Recorder;
-use measure::{mean, median, quantile, vm_kib, Spans, SplitMix};
+use measure::{fast_rate, fast_time, median, quantile, vm_kib, HostProbe, Spans, SplitMix};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -35,11 +35,14 @@ use workloads::{Prepared, Workload};
 /// process's first campaign alone, which runs cold.
 const MIN_UNITS: usize = 3;
 /// `setup_s` samples per run at least, each a batch of set-ups; the
-/// metric is their median.
+/// metric is their faster quartile.
 const SETUP_SAMPLES: usize = 21;
-/// Seeded lookups per unit: enough that more than 10 samples of a unit
-/// lie beyond the unit's p99.
-const LOOKUPS: usize = 1_500;
+/// Consecutive lookups behind one `lookup_p50_us` sample.
+const LOOKUP_BATCH: usize = 1_000;
+/// Lookups between two host probes.
+const LOOKUPS_PER_PROBE: usize = 50;
+/// Host probe rounds before and after each campaign.
+const CAMPAIGN_PROBES: usize = 5;
 /// Store opens per unit, for `store.open_us`.
 const OPENS: usize = 16;
 /// Traced units in a `--trace 1` run, each between two warm untraced
@@ -114,6 +117,12 @@ struct ReadBack {
     /// Rows covered by all report passes, and their total time.
     report_rows: u64,
     report_ns: u64,
+    /// Rows per second of each report pass, at reference host speed.
+    pass_rates: Vec<f64>,
+    /// The host slowdown measured last before each lookup.
+    lookup_slowdown: Vec<f64>,
+    /// Every host probe's slowdown.
+    slowdowns: Vec<f64>,
     lookup_us: Vec<f64>,
     open_us: Vec<f64>,
     lookup_bytes: u64,
@@ -186,7 +195,8 @@ struct SetupSamples {
 }
 
 impl SetupSamples {
-    fn take(&mut self, ops: &mut Ops) {
+    fn take(&mut self, ops: &mut Ops, probe: &mut HostProbe) {
+        let before = probe.slowdown();
         let k = self.workload.setup_batch();
         let mut ns = 0u64;
         for _ in 0..k {
@@ -198,22 +208,33 @@ impl SetupSamples {
             self.done += 1;
             ops.record("setup", p.map(|_| true));
         }
-        self.samples.push(ns as f64 / k as f64 / 1e9);
+        let slowdown = (before + probe.slowdown()) / 2.0;
+        self.samples.push(ns as f64 / k as f64 / 1e9 / slowdown);
     }
+}
+
+/// A campaign whose directory is read back: its workload, unit seed,
+/// run directory and result rows.
+struct Finished<'a> {
+    w: Workload,
+    seed: u64,
+    dir: &'a Path,
+    rows: usize,
 }
 
 /// Report passes and seeded lookups over a finished unit, each checked.
 /// They alternate, so both sample the whole read-back window; `setup`
-/// samples, if given, are spread between them.
+/// samples, if given, are spread between them. Each pass and every
+/// `LOOKUPS_PER_PROBE` lookups follow a host probe, whose slowdown
+/// scales them to reference host speed.
 fn read_back(
-    w: Workload,
-    seed: u64,
-    dir: &Path,
-    rows: usize,
+    unit: Finished,
     spans: &mut Spans,
     ops: &mut Ops,
+    probe: &mut HostProbe,
     mut setup: Option<&mut SetupSamples>,
 ) -> ReadBack {
+    let Finished { w, seed, dir, rows } = unit;
     let mut out = ReadBack::default();
     let scratch = dir.with_extension("read");
     let _ = std::fs::create_dir_all(&scratch);
@@ -232,29 +253,40 @@ fn read_back(
     });
     let mut rng = SplitMix::new(seed);
     let passes = w.report_passes();
+    let per_unit = w.lookups();
     for pass in 0..passes {
+        let slowdown = probe.slowdown();
+        out.slowdowns.push(slowdown);
         let (report, ns) = spans.time("analyze.report_pass", |_| workloads::report_pass(w, dir));
         let outcome = report.map(|(covered, totals, fingerprint)| {
             let same = out.report.get_or_insert_with(|| fingerprint.clone()) == &fingerprint;
             out.report_rows += covered;
             out.report_ns += ns;
+            out.pass_rates
+                .push(covered as f64 / (ns.max(1) as f64 / 1e9) * slowdown);
             covered == rows as u64 && totals == rows as u64 && same
         });
         ops.record("report pass", outcome);
 
         if let Some(s) = setup.as_deref_mut() {
             for _ in s.per_unit * pass / passes..s.per_unit * (pass + 1) / passes {
-                s.take(ops);
+                s.take(ops, probe);
             }
         }
 
         let Some(l) = lookups.as_mut() else { continue };
         let span = spans.begin("store.lookup_fault");
-        for _ in LOOKUPS * pass / passes..LOOKUPS * (pass + 1) / passes {
+        let mut slowdown = 1.0;
+        for i in per_unit * pass / passes..per_unit * (pass + 1) / passes {
+            if i % LOOKUPS_PER_PROBE == 0 {
+                slowdown = probe.slowdown();
+                out.slowdowns.push(slowdown);
+            }
             let id = l.ids[rng.below(l.ids.len())];
             let t = Instant::now();
             let got = l.reader.lookup_fault(id);
             out.lookup_us.push(t.elapsed().as_nanos() as f64 / 1e3);
+            out.lookup_slowdown.push(slowdown);
             let outcome = got.map_err(|e| e.to_string()).map(|rows| {
                 let got: Vec<String> = rows.iter().map(|(k, c)| format!("{k:?}{c:?}")).collect();
                 l.expected.get(&id) == Some(&got)
@@ -323,6 +355,8 @@ fn base_config(w: Workload, dir: &Path) -> RunConfig {
 /// Figures of one untraced unit.
 struct PlainUnit {
     setup_ns: u64,
+    /// Host slowdown around the campaign.
+    slowdown: f64,
     rss_after_setup_kib: u64,
     ran: workloads::Ran,
     digest: String,
@@ -337,7 +371,13 @@ fn unit_seed(seed: u64, unit: usize) -> u64 {
     seed.wrapping_mul(1000).wrapping_add(unit as u64)
 }
 
-fn plain_unit(args: &Args, unit: usize, seed: u64, ops: &mut Ops) -> Option<PlainUnit> {
+fn plain_unit(
+    args: &Args,
+    unit: usize,
+    seed: u64,
+    ops: &mut Ops,
+    probe: &mut HostProbe,
+) -> Option<PlainUnit> {
     let w = args.workload;
     let dir = unit_dir(args, unit);
     let mut spans = Spans::new();
@@ -352,7 +392,9 @@ fn plain_unit(args: &Args, unit: usize, seed: u64, ops: &mut Ops) -> Option<Plai
             return None;
         }
     };
+    let before = probe.slowdown_all(CAMPAIGN_PROBES);
     let ran = workloads::run(&mut prepared, &base_config(w, &dir), &dir);
+    let slowdown = (before + probe.slowdown_all(CAMPAIGN_PROBES)) / 2.0;
     drop(prepared);
     let ran = match ran {
         Ok(r) => r,
@@ -371,6 +413,7 @@ fn plain_unit(args: &Args, unit: usize, seed: u64, ops: &mut Ops) -> Option<Plai
     ops.record("campaign", Ok(ran.rows == w.planned_rows()));
     Some(PlainUnit {
         setup_ns,
+        slowdown,
         rss_after_setup_kib,
         ran,
         digest,
@@ -391,24 +434,33 @@ fn untraced(
         done: 0,
         samples: Vec::new(),
     };
-    let (mut rows, mut run_ns) = (0u64, 0u64);
-    let (mut report_rows, mut report_ns) = (0u64, 0u64);
-    let (mut p50_us, mut p99_us) = (Vec::new(), Vec::new());
+    let mut probe = HostProbe::new(w.threads());
+    let mut campaign_rates = Vec::new();
+    let mut pass_rates = Vec::new();
+    let (mut lookup_us, mut lookup_slowdown) = (Vec::new(), Vec::new());
     let mut bytes_per_row = Vec::new();
     for unit in 0..units {
         let seed = unit_seed(args.seed, unit);
-        let Some(u) = plain_unit(args, unit, seed, ops) else {
+        let Some(u) = plain_unit(args, unit, seed, ops, &mut probe) else {
             continue;
         };
-        rows += u.ran.rows as u64;
-        run_ns += u.ran.run_ns + u.ran.kpi_ns;
+        let rate = u.ran.rows as f64 / ((u.ran.run_ns + u.ran.kpi_ns) as f64 / 1e9);
+        campaign_rates.push(rate * u.slowdown);
         bytes_per_row.push(u.artifact_bytes as f64 / u.ran.rows.max(1) as f64);
         let dir = args.work_dir.join(format!("unit{unit}"));
         let mut spans = Spans::new();
         let first_sample = setup.samples.len();
-        let rb = read_back(w, seed, &dir, u.ran.rows, &mut spans, ops, Some(&mut setup));
+        let finished = Finished {
+            w,
+            seed,
+            dir: &dir,
+            rows: u.ran.rows,
+        };
+        let rb = read_back(finished, &mut spans, ops, &mut probe, Some(&mut setup));
+        // Raw figures of the unit, next to the host's median slowdown
+        // over its read-back; set-up is shown at reference host speed.
         println!(
-            "unit {{\"unit\": {unit}, \"seed\": {seed}, \"rows\": {}, \"artifact_bytes\": {}, \"artifact_digest\": \"{}\", \"setup_ms\": {:.3}, \"setup_batch_ms\": {:.3}, \"run_with_ms\": {:.3}, \"kpi_ms\": {:.3}, \"report_rows_per_s\": {:.0}, \"lookup_p50_us\": {:.1}, \"lookup_p99_us\": {:.1}}}",
+            "unit {{\"unit\": {unit}, \"seed\": {seed}, \"rows\": {}, \"artifact_bytes\": {}, \"artifact_digest\": \"{}\", \"setup_ms\": {:.3}, \"setup_batch_ref_ms\": {:.3}, \"run_with_ms\": {:.3}, \"kpi_ms\": {:.3}, \"campaign_slowdown\": {:.3}, \"read_back_slowdown\": {:.3}, \"report_rows_per_s\": {:.0}, \"lookup_p50_us\": {:.1}, \"lookup_p99_us\": {:.1}}}",
             u.ran.rows,
             u.artifact_bytes,
             u.digest,
@@ -416,42 +468,57 @@ fn untraced(
             median(&setup.samples[first_sample..]) * 1e3,
             u.ran.run_ns as f64 / 1e6,
             u.ran.kpi_ns as f64 / 1e6,
+            u.slowdown,
+            median(&rb.slowdowns),
             rb.report_rows as f64 / (rb.report_ns as f64 / 1e9),
             quantile(&rb.lookup_us, 0.5),
             quantile(&rb.lookup_us, 0.99)
         );
-        report_rows += rb.report_rows;
-        report_ns += rb.report_ns;
-        p50_us.push(quantile(&rb.lookup_us, 0.50));
-        p99_us.push(quantile(&rb.lookup_us, 0.99));
+        pass_rates.extend_from_slice(&rb.pass_rates);
+        lookup_us.extend_from_slice(&rb.lookup_us);
+        lookup_slowdown.extend_from_slice(&rb.lookup_slowdown);
         let _ = std::fs::remove_dir_all(&dir);
     }
+    // Each lookup at reference host speed, scaled by the probe before
+    // it. The p50 is the faster quartile of batch medians; the p99 is
+    // taken over all of the run's lookups, so that more than 100 lie
+    // beyond it: a p99 of one batch rests on its 10 slowest lookups.
+    let scaled: Vec<f64> = lookup_us
+        .iter()
+        .zip(&lookup_slowdown)
+        .map(|(us, slow)| us / slow)
+        .collect();
+    let p50_us: Vec<f64> = scaled
+        .chunks_exact(LOOKUP_BATCH)
+        .map(|b| quantile(b, 0.50))
+        .collect();
 
     let mut m = BTreeMap::new();
-    // Throughputs are totals over every unit and latencies are means of
-    // the units' quantiles: on a shared host whose speed switches
-    // between two levels for seconds at a time, a median of units lands
-    // on either level, while these move smoothly with the mix.
-    m.insert(
-        "inferences_per_s",
-        (rows as f64 / (run_ns as f64 / 1e9), "1/s"),
-    );
-    m.insert("setup_s", (median(&setup.samples), "s"));
+    // Every timed metric is taken at reference host speed, each sample
+    // scaled by the host probe next to it, and all but the p99 are the
+    // faster quartile of samples spread over the run: the shared host
+    // slows down by up to 1.8x for seconds to a minute at a time, and a
+    // raw median or total follows the host, not the program.
+    m.insert("inferences_per_s", (fast_rate(&campaign_rates), "1/s"));
+    m.insert("setup_s", (fast_time(&setup.samples), "s"));
     m.insert("peak_rss_mb", (vm_kib("VmHWM") as f64 / 1024.0, "MB"));
     m.insert(
         "artifact_bytes_per_inference",
         (median(&bytes_per_row), "B"),
     );
-    m.insert(
-        "report_rows_per_s",
-        (report_rows as f64 / (report_ns as f64 / 1e9), "1/s"),
-    );
-    m.insert("lookup_p50_us", (mean(&p50_us), "us"));
-    m.insert("lookup_p99_us", (mean(&p99_us), "us"));
+    m.insert("report_rows_per_s", (fast_rate(&pass_rates), "1/s"));
+    m.insert("lookup_p50_us", (fast_time(&p50_us), "us"));
+    m.insert("lookup_p99_us", (quantile(&scaled, 0.99), "us"));
     m
 }
 
-fn traced_unit(args: &Args, unit: usize, seed: u64, ops: &mut Ops) -> Option<TracedUnit> {
+fn traced_unit(
+    args: &Args,
+    unit: usize,
+    seed: u64,
+    ops: &mut Ops,
+    probe: &mut HostProbe,
+) -> Option<TracedUnit> {
     let w = args.workload;
     let dir = unit_dir(args, unit);
     let mut spans = Spans::new();
@@ -537,7 +604,13 @@ fn traced_unit(args: &Args, unit: usize, seed: u64, ops: &mut Ops) -> Option<Tra
         args.work_dir
             .join(format!("unit{unit}-{}", alfi::trace::EVENTS_FILE)),
     );
-    let read = read_back(w, seed, &dir, ran.rows, &mut spans, ops, None);
+    let finished = Finished {
+        w,
+        seed,
+        dir: &dir,
+        rows: ran.rows,
+    };
+    let read = read_back(finished, &mut spans, ops, probe, None);
     let probes = match workloads::probes(w, seed, &mut spans) {
         Ok(p) => p,
         Err(e) => {
@@ -597,7 +670,8 @@ fn traced(args: &Args, ops: &mut Ops) -> BTreeMap<&'static str, (f64, &'static s
     // traced unit sits between two untraced ones for the tracing
     // overhead: P0 P1 T2 P3 T4 P5 T6 P7.
     let seed = unit_seed(args.seed, 0);
-    let Some(cold) = plain_unit(args, 0, seed, ops) else {
+    let mut probe = HostProbe::new(w.threads());
+    let Some(cold) = plain_unit(args, 0, seed, ops, &mut probe) else {
         return m;
     };
     let rss_growth_kib = vm_kib("VmHWM").saturating_sub(cold.rss_after_setup_kib);
@@ -614,13 +688,13 @@ fn traced(args: &Args, ops: &mut Ops) -> BTreeMap<&'static str, (f64, &'static s
     let mut units: Vec<TracedUnit> = Vec::new();
     for unit in 1..=2 * TRACED_UNITS + 1 {
         if unit % 2 == 0 {
-            let Some(u) = traced_unit(args, unit, seed, ops) else {
+            let Some(u) = traced_unit(args, unit, seed, ops, &mut probe) else {
                 return m;
             };
             units.push(u);
             continue;
         }
-        let Some(p) = plain_unit(args, unit, seed, ops) else {
+        let Some(p) = plain_unit(args, unit, seed, ops, &mut probe) else {
             return m;
         };
         ops.check(
@@ -663,7 +737,7 @@ fn traced(args: &Args, ops: &mut Ops) -> BTreeMap<&'static str, (f64, &'static s
     let med = |f: &dyn Fn(&TracedUnit) -> f64| median(&units.iter().map(f).collect::<Vec<_>>());
     let c = &first.counters;
     let rows = c.rows.max(1) as f64;
-    let lookups = LOOKUPS as f64;
+    let lookups = w.lookups() as f64;
     let threads = w.threads() as f64;
     // Each traced unit against the mean of its two untraced neighbours,
     // which cancels a host speed that drifts steadily across the three.

@@ -14,9 +14,14 @@ pub fn vm_kib(field: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Arithmetic mean of a sample set.
-pub fn mean(values: &[f64]) -> f64 {
-    values.iter().sum::<f64>() / values.len() as f64
+/// The faster quartile of a run's durations: their lower quartile.
+pub fn fast_time(values: &[f64]) -> f64 {
+    quantile(values, 0.25)
+}
+
+/// The faster quartile of a run's rates: their upper quartile.
+pub fn fast_rate(values: &[f64]) -> f64 {
+    quantile(values, 0.75)
 }
 
 /// Median of a sample set (mean of the middle pair for even sizes).
@@ -35,6 +40,115 @@ pub fn quantile(values: &[f64], q: f64) -> f64 {
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+}
+
+/// Time of one `HostProbe` measurement on the reference machine when
+/// the host leaves it alone, in ns: the lower quartile of the probe's
+/// times over a quiet minute.
+pub const PROBE_REFERENCE_NS: f64 = 1.1e6;
+
+/// A fixed piece of work owned by the benchmark, timed next to every
+/// sample of a timed end-to-end metric. It shares no code with the
+/// program, so its time tracks only the speed the shared host gives
+/// this process at that moment. Its parts mirror what the program
+/// does: hashing over a cache-sized buffer, f32 dot products, touching
+/// fresh pages, and formatting, sorting and parsing short strings. It
+/// holds about 1.5 MiB per thread at its peak, which `peak_rss_mb`
+/// includes.
+pub struct HostProbe {
+    /// One set of buffers per thread the probe runs on.
+    lanes: Vec<ProbeLane>,
+}
+
+struct ProbeLane {
+    words: Vec<u64>,
+    a: Vec<f32>,
+    b: Vec<f32>,
+}
+
+impl ProbeLane {
+    fn new() -> Self {
+        ProbeLane {
+            words: vec![1; 1 << 15],
+            a: vec![1.0001; 1 << 14],
+            b: vec![0.9999; 1 << 14],
+        }
+    }
+
+    /// Runs the fixed work once; returns its slowdown against
+    /// `PROBE_REFERENCE_NS`.
+    fn run(&mut self) -> f64 {
+        let t = Instant::now();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for _ in 0..4 {
+            for w in self.words.iter_mut() {
+                h = (h ^ *w).wrapping_mul(0x100_0000_01b3);
+                *w = h;
+            }
+        }
+        let mut dot = 0f32;
+        for _ in 0..40 {
+            let (a, b) = (std::hint::black_box(&self.a), std::hint::black_box(&self.b));
+            dot += a.iter().zip(b).map(|(x, y)| x * y).sum::<f32>();
+        }
+        let mut fresh = vec![0u64; 1 << 17];
+        for (i, x) in fresh.iter_mut().enumerate().step_by(512) {
+            *x = i as u64 ^ h;
+        }
+        let mut text: Vec<String> = (0..2_000)
+            .map(|i| format!("{},{:.3}", i ^ (h as usize & 7), i as f32 * 0.37))
+            .collect();
+        text.sort();
+        for t in &text {
+            h = h.wrapping_add(t.parse::<u8>().unwrap_or(1) as u64 + t.len() as u64);
+        }
+        std::hint::black_box((h, dot, fresh[512]));
+        t.elapsed().as_nanos() as f64 / PROBE_REFERENCE_NS
+    }
+}
+
+impl HostProbe {
+    /// A probe for work that runs on `threads` threads. Each lane runs
+    /// once before the probe is used, so no measurement is cold.
+    pub fn new(threads: usize) -> Self {
+        let mut probe = HostProbe {
+            lanes: (0..threads.max(1)).map(|_| ProbeLane::new()).collect(),
+        };
+        probe.slowdown_all(3);
+        probe
+    }
+
+    /// How many times slower the host is now than the reference machine
+    /// at rest, for single-threaded work: one run of the fixed work.
+    pub fn slowdown(&mut self) -> f64 {
+        self.lanes[0].run()
+    }
+
+    /// The same for work on all the probe's threads: the median over
+    /// `n` rounds of the mean slowdown of one run on every thread at
+    /// once. A single-threaded probe runs on the calling thread.
+    pub fn slowdown_all(&mut self, n: usize) -> f64 {
+        let rounds: Vec<f64> = (0..n)
+            .map(|_| {
+                if let [lane] = self.lanes.as_mut_slice() {
+                    return lane.run();
+                }
+                let each: Vec<f64> = std::thread::scope(|s| {
+                    let handles: Vec<_> = self
+                        .lanes
+                        .iter_mut()
+                        .map(|lane| s.spawn(move || lane.run()))
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().unwrap_or(f64::NAN))
+                        .collect()
+                });
+                each.iter().sum::<f64>() / each.len() as f64
+            })
+            .collect();
+        median(&rounds)
+    }
 }
 
 /// SplitMix64: the benchmark's own seeded generator for lookup ids, so

@@ -67,7 +67,7 @@ impl Workload {
     pub fn unit_seconds(self) -> f64 {
         match self {
             Workload::Vgg16Coupled => 4.3,
-            Workload::VitScale => 9.0,
+            Workload::VitScale => 6.0,
             Workload::YoloDetect => 4.0,
         }
     }
@@ -178,6 +178,15 @@ impl Workload {
             width_mult: 0.25,
             seed: MODEL_SEED,
             ..DetectorConfig::default()
+        }
+    }
+
+    /// Seeded lookups per unit: a run makes at least ten batches of
+    /// `LOOKUP_BATCH`.
+    pub fn lookups(self) -> usize {
+        match self {
+            Workload::VitScale => 2_400,
+            _ => 1_500,
         }
     }
 
