@@ -632,6 +632,45 @@ mod tests {
         }
     }
 
+    /// An exponent flip that overflows to NaN or ±Inf is recorded in
+    /// the event log as a string; the report and the trace export both
+    /// read such a log.
+    #[test]
+    fn event_logs_with_non_finite_values_are_analyzed() {
+        use alfi_trace::{InjectionEvent, Recorder, RunMeta};
+        let dir = std::env::temp_dir()
+            .join(format!("alfi_analyze_nonfinite_events_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let rec = Recorder::new();
+        rec.set_meta(RunMeta {
+            campaign: "classification".into(),
+            model: "vit".into(),
+            scenario_hash: alfi_trace::hash_hex(b"nonfinite"),
+            seed: 1,
+            threads: 2,
+        });
+        for (i, v) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY].into_iter().enumerate() {
+            rec.record_injection(InjectionEvent {
+                image_id: i as u64,
+                layer: 0,
+                bit: Some(30),
+                original: 0.5,
+                corrupted: v,
+            });
+            rec.record_outcome(EffectClass::Due);
+            rec.item_finished();
+        }
+        rec.write_events(dir.join(alfi_trace::EVENTS_FILE)).unwrap();
+        let report = analyze_dir(&dir).unwrap();
+        assert_eq!(report.events, Some((3, 3, 0, 0)));
+        let (trace, _) = crate::trace_export::export_dir(&dir).unwrap();
+        for name in ["NaN", "Infinity", "-Infinity"] {
+            assert!(trace.contains(&format!("\"{name}\"")), "{name} missing from the export");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Ordering audit: layers ascending by resolved target index, bit
     /// positions ascending with unaddressed faults first, modes
     /// lexicographic, cells by the composite key — independent of

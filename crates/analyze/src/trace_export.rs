@@ -14,7 +14,7 @@
 
 use crate::AnalyzeError;
 use alfi_serde::Json;
-use alfi_trace::{EventLog, InjectionEvent};
+use alfi_trace::{encode_event_value, EventLog, InjectionEvent};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -69,8 +69,8 @@ fn injection_event(ordinal: usize, ev: &InjectionEvent) -> Json {
                         None => Json::Null,
                     },
                 ),
-                ("original".into(), Json::Float(ev.original as f64)),
-                ("corrupted".into(), Json::Float(ev.corrupted as f64)),
+                ("original".into(), encode_event_value(ev.original)),
+                ("corrupted".into(), encode_event_value(ev.corrupted)),
             ]),
         ),
     ])

@@ -46,7 +46,7 @@ fn bench_scaling(c: &mut Harness) {
     let mut group = c.benchmark_group("parallel_scaling");
     group.sample_size(10).measurement_time(Duration::from_secs(3));
 
-    // Baseline: the plain sequential driver with the pool pinned to one
+    // Baseline: the inline (1-thread) driver with the pool pinned to one
     // thread, so the tensor kernels cannot parallelize either.
     group.bench_function(SEQUENTIAL, |b| {
         let mut campaign = make_campaign();

@@ -252,8 +252,8 @@ impl ImgClassCampaign {
     /// Runs the campaign with the given [`RunConfig`] — the single
     /// entry point for every driver and thread count, delegating to the
     /// shared campaign [`Engine`] (see its docs for dispatch, tracing
-    /// and persistence semantics). `RunConfig::default()` reproduces
-    /// the sequential driver byte-for-byte.
+    /// and persistence semantics). Outputs are byte-identical at every
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -270,8 +270,9 @@ impl CampaignTask for ImgClassCampaign {
     type Scope = ClassificationScope;
     type Row = ClassificationRow;
     type Result = ClassificationCampaignResult;
-    /// Models are [`Sync`], so workers share the campaign itself.
-    type ParCtx<'s> = &'s ImgClassCampaign;
+    /// Models are [`Sync`] and every scope clones its own faulty copy,
+    /// so running scopes need nothing beyond the campaign itself.
+    type Worker = ();
 
     fn kind(&self) -> &'static str {
         "classification"
@@ -344,19 +345,22 @@ impl CampaignTask for ImgClassCampaign {
         Ok(ControlFlow::Continue(()))
     }
 
+    fn worker(&self, _threads: usize) -> Result<(), CoreError> {
+        Ok(())
+    }
+
     /// Runs the fault-free / faulty / hardened triple for one fault
-    /// scope (a single image or a whole batch) and appends one row per
-    /// contained image. Trace entries attribute each applied fault to
-    /// the image its batch coordinate addressed (weight faults and
-    /// out-of-range coordinates attribute to the scope's first image).
-    fn process_scope(
+    /// scope (a single image or a whole batch): one row per contained
+    /// image. Trace entries attribute each applied fault to the image
+    /// its batch coordinate addressed (weight faults and out-of-range
+    /// coordinates attribute to the scope's first image).
+    fn process(
         &self,
+        _worker: &(),
         ctx: &ScopeCtx<'_>,
         scope: &ClassificationScope,
         rec: &Recorder,
-        rows: &mut Vec<ClassificationRow>,
-        trace: &mut RunTrace,
-    ) -> Result<(), CoreError> {
+    ) -> Result<(Vec<ClassificationRow>, Vec<TraceEntry>), CoreError> {
         let worker = alfi_pool::worker_index();
         let images = &scope.images;
         let n = scope.records.len();
@@ -378,7 +382,6 @@ impl CampaignTask for ImgClassCampaign {
             corrupted.forward_traced(images, rec)?
         };
         let applied = armed.collect_applied();
-        rec.record_applied(applied.len() as u64);
         let totals = monitor.totals();
         monitor.report_to(rec);
 
@@ -397,18 +400,20 @@ impl CampaignTask for ImgClassCampaign {
         };
 
         let _eval = rec.span_on(Phase::Eval, worker);
+        let mut entries = Vec::with_capacity(applied.len());
         for a in &applied {
             let img_idx = match self.scenario.injection_target {
                 alfi_scenario::InjectionTarget::Neurons => a.record.batch.min(n - 1),
                 _ => 0,
             };
-            trace.entries.push(TraceEntry {
+            entries.push(TraceEntry {
                 image_id: scope.records[img_idx].image_id,
                 applied: *a,
                 output_nan_count: totals.nan as u32,
                 output_inf_count: totals.inf as u32,
             });
         }
+        let mut rows = Vec::with_capacity(n);
         for i in 0..n {
             // Faults are listed on every row of the scope; per-image
             // attribution lives in the trace entries above.
@@ -426,26 +431,8 @@ impl CampaignTask for ImgClassCampaign {
                 corr_nan: totals.nan,
                 corr_inf: totals.inf,
             });
-            rec.item_finished();
         }
-        Ok(())
-    }
-
-    fn prepare_parallel<'s>(&'s self, _items: usize) -> Result<Self::ParCtx<'s>, CoreError> {
-        Ok(self)
-    }
-
-    fn process_parallel(
-        ctx: &Self::ParCtx<'_>,
-        scope_ctx: &ScopeCtx<'_>,
-        _idx: usize,
-        scope: &ClassificationScope,
-        rec: &Recorder,
-    ) -> Result<(Vec<ClassificationRow>, Vec<TraceEntry>), CoreError> {
-        let mut rows = Vec::with_capacity(1);
-        let mut trace = RunTrace::default();
-        ctx.process_scope(scope_ctx, scope, rec, &mut rows, &mut trace)?;
-        Ok((rows, trace.entries))
+        Ok((rows, entries))
     }
 
     fn classify(row: &ClassificationRow) -> EffectClass {
@@ -945,11 +932,8 @@ mod tests {
                 }
             });
         attach_monitor(&mut c.model, bomb).unwrap();
-        for threads in [1, 3] {
-            // `forced_parallel(1)` keeps the parallel driver (unlike
-            // `run_with` with `threads: 1`, which is sequential), so the
-            // pool guard still fires — exercised here on purpose.
-            let err = crate::campaign::Engine::forced_parallel(&c, threads).unwrap_err();
+        for threads in [2, 3] {
+            let err = c.run_with(&RunConfig::new().threads(threads)).unwrap_err();
             match err {
                 CoreError::WorkerPanic { message } => {
                     assert!(message.contains("monitor exploded"), "message: {message}")

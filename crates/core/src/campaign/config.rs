@@ -28,12 +28,15 @@ use std::path::{Path, PathBuf};
 /// ```
 #[derive(Debug, Clone)]
 pub struct RunConfig {
-    /// Parallelism of the campaign driver. `1` (the default) runs the
-    /// sequential driver, which supports every injection policy. Values
-    /// above `1` fan independent per-image work out on the shared
-    /// [`alfi_pool`] pool (requires the `per_image` policy; clamped by
-    /// `ALFI_POOL_THREADS`). `0` means "auto": the pool's default
-    /// parallelism for `per_image` scenarios, sequential otherwise.
+    /// Parallelism of the campaign driver. `1` (the default) runs every
+    /// scope inline on the calling thread, one at a time, which supports
+    /// every injection policy and leaves the pool to the tensor kernels.
+    /// Values above `1` run rounds of independent per-image scopes on
+    /// the shared [`alfi_pool`] pool (requires the `per_image` policy;
+    /// clamped by `ALFI_POOL_THREADS`); the round length follows from
+    /// the thread count and the stop policy, so memory stays bounded.
+    /// `0` means "auto": the pool's default parallelism for `per_image`
+    /// scenarios, inline otherwise.
     pub threads: usize,
     /// Observability sink. The default [`Recorder::disabled`] collects
     /// nothing and costs nothing; pass [`Recorder::new`] to get span
@@ -218,7 +221,7 @@ impl RunConfig {
 
     /// The driver parallelism to use for a scenario, resolving the `0`
     /// = "auto" sentinel: per-image scenarios get the global pool's
-    /// default, everything else falls back to the sequential driver.
+    /// default, everything else runs inline.
     pub(crate) fn resolve_threads(&self, per_image: bool) -> usize {
         match self.threads {
             0 if per_image => alfi_pool::global().threads(),

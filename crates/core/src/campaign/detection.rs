@@ -11,6 +11,11 @@
 //! persistence all live in the shared campaign [`Engine`]. Batches are
 //! streamed from the loader one at a time (never collected up front),
 //! so memory stays bounded on large scenarios.
+//!
+//! Every running scope arms faults in place on a detector of its own:
+//! at `threads` ≤ 1 the campaign's borrowed detector, on the pool one
+//! of `threads` private clones built once per run and reused scope
+//! after scope (each scope returns its detector pristine).
 
 use crate::artifact::{ArtifactSink, Artifacts, ColumnarSink};
 use crate::campaign::classification::fault_columns;
@@ -30,10 +35,9 @@ use alfi_serde::ToJson;
 use alfi_store::{ColumnSpec, ColumnType, Encoding, Schema, Value};
 use alfi_tensor::Tensor;
 use alfi_trace::{EffectClass, Phase, Recorder};
-use std::cell::RefCell;
 use std::ops::ControlFlow;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Per-image detection campaign row.
 #[derive(Debug, Clone)]
@@ -158,14 +162,14 @@ impl<'a, D: Detector + ?Sized> ObjDetCampaign<'a, D> {
     }
 
     /// Borrows the campaign's fields into the engine-facing task
-    /// adapter. The detectors go behind [`RefCell`]s so the task can
-    /// stream scopes and arm faults from `&self` — the sequential
-    /// driver is single-threaded, so the borrows never conflict.
+    /// adapter. The detectors go behind [`Mutex`]es so the task can arm
+    /// faults from `&self`; only inline runs lock them, one scope at a
+    /// time, so the locks are never contended.
     fn as_task(&mut self) -> DetTask<'_, D> {
         let ObjDetCampaign { detector, resil_detector, scenario, loader, fault_matrix } = self;
         DetTask {
-            detector: RefCell::new(&mut **detector),
-            resil_detector: resil_detector.as_mut().map(|r| RefCell::new(&mut **r)),
+            detector: Mutex::new(&mut **detector),
+            resil_detector: resil_detector.as_mut().map(|r| Mutex::new(&mut **r)),
             scenario,
             loader,
             replay: fault_matrix.as_ref(),
@@ -175,36 +179,46 @@ impl<'a, D: Detector + ?Sized> ObjDetCampaign<'a, D> {
 
 /// Engine-facing adapter over a borrowed [`ObjDetCampaign`].
 struct DetTask<'t, D: Detector + ?Sized> {
-    detector: RefCell<&'t mut D>,
-    resil_detector: Option<RefCell<&'t mut D>>,
+    detector: Mutex<&'t mut D>,
+    resil_detector: Option<Mutex<&'t mut D>>,
     scenario: &'t Scenario,
     loader: &'t DetectionLoader,
     replay: Option<&'t FaultMatrix>,
 }
 
-/// Parallel worker context: a private detector clone per work item.
-/// Each task locks only its own clone — the mutex is uncontended and
-/// exists purely to hand `&mut` access through the shared closure.
-struct DetParCtx {
-    clones: Vec<Mutex<Box<dyn Detector>>>,
-    resil_clones: Vec<Mutex<Box<dyn Detector>>>,
+/// A primary detector clone and, with a hardened detector attached,
+/// its hardened counterpart.
+type ClonePair = (Box<dyn Detector>, Option<Box<dyn Detector>>);
+
+/// The detectors running scopes arm faults on.
+enum DetWorker {
+    /// Inline runs: the campaign's own borrowed detectors.
+    Borrowed,
+    /// Pooled runs: one clone pair per concurrently running scope. A
+    /// scope takes a free pair and puts it back, pristine, when done.
+    Clones(Mutex<Vec<ClonePair>>),
+}
+
+/// Locks a mutex, recovering the guard if a panicking scope poisoned
+/// it. The clone stack is only popped and pushed, so it is valid at
+/// every step; a borrowed detector's panic ends the run, which never
+/// locks it again.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 impl<'t, D: Detector + ?Sized> CampaignTask for DetTask<'t, D> {
     type Scope = DetectionScope;
     type Row = DetectionRow;
     type Result = DetectionCampaignResult;
-    type ParCtx<'s>
-        = DetParCtx
-    where
-        Self: 's;
+    type Worker = DetWorker;
 
     fn kind(&self) -> &'static str {
         "detection"
     }
 
     fn model_name(&self) -> String {
-        self.detector.borrow().name().to_string()
+        lock(&self.detector).name().to_string()
     }
 
     fn scenario(&self) -> &Scenario {
@@ -229,7 +243,7 @@ impl<'t, D: Detector + ?Sized> CampaignTask for DetTask<'t, D> {
             vec![1usize, 3, ds.image_hw(), ds.image_hw()]
         };
         let targets = {
-            let det = self.detector.borrow();
+            let det = lock(&self.detector);
             let nets = det.networks();
             let mut dims: Vec<Option<Vec<usize>>> = vec![None; nets.len()];
             dims[0] = Some(input_dims.clone());
@@ -237,7 +251,7 @@ impl<'t, D: Detector + ?Sized> CampaignTask for DetTask<'t, D> {
         };
         let resil_targets = match &self.resil_detector {
             Some(r) => {
-                let rdet = r.borrow();
+                let rdet = lock(r);
                 let rnets = rdet.networks();
                 let mut rdims: Vec<Option<Vec<usize>>> = vec![None; rnets.len()];
                 if !rdims.is_empty() {
@@ -272,21 +286,10 @@ impl<'t, D: Detector + ?Sized> CampaignTask for DetTask<'t, D> {
         Ok(ControlFlow::Continue(()))
     }
 
-    fn process_scope(
-        &self,
-        ctx: &ScopeCtx<'_>,
-        scope: &DetectionScope,
-        rec: &Recorder,
-        rows: &mut Vec<DetectionRow>,
-        trace: &mut RunTrace,
-    ) -> Result<(), CoreError> {
-        let mut det = self.detector.borrow_mut();
-        let mut resil_guard = self.resil_detector.as_ref().map(|r| r.borrow_mut());
-        let resil: Option<&mut D> = resil_guard.as_mut().map(|g| &mut ***g);
-        process_one(&mut **det, resil, ctx, scope, rec, rows, trace)
-    }
-
-    fn prepare_parallel(&self, items: usize) -> Result<DetParCtx, CoreError> {
+    fn worker(&self, threads: usize) -> Result<DetWorker, CoreError> {
+        if threads <= 1 {
+            return Ok(DetWorker::Borrowed);
+        }
         let clone_of = |d: &D, role: &str| {
             d.clone_boxed().ok_or_else(|| CoreError::Unsupported {
                 reason: format!(
@@ -295,35 +298,39 @@ impl<'t, D: Detector + ?Sized> CampaignTask for DetTask<'t, D> {
                 ),
             })
         };
-        let det = self.detector.borrow();
-        let mut clones: Vec<Mutex<Box<dyn Detector>>> = Vec::with_capacity(items);
-        let mut resil_clones: Vec<Mutex<Box<dyn Detector>>> = Vec::new();
-        for _ in 0..items {
-            clones.push(Mutex::new(clone_of(&det, "primary")?));
-            if let Some(r) = &self.resil_detector {
-                resil_clones.push(Mutex::new(clone_of(&r.borrow(), "hardened")?));
-            }
-        }
-        Ok(DetParCtx { clones, resil_clones })
+        let det = lock(&self.detector);
+        let resil = self.resil_detector.as_ref().map(lock);
+        let pairs = (0..threads)
+            .map(|_| {
+                let primary = clone_of(&det, "primary")?;
+                let hardened = resil.as_ref().map(|r| clone_of(r, "hardened")).transpose()?;
+                Ok((primary, hardened))
+            })
+            .collect::<Result<_, CoreError>>()?;
+        Ok(DetWorker::Clones(Mutex::new(pairs)))
     }
 
-    fn process_parallel(
-        ctx: &DetParCtx,
-        scope_ctx: &ScopeCtx<'_>,
-        idx: usize,
+    fn process(
+        &self,
+        worker: &DetWorker,
+        ctx: &ScopeCtx<'_>,
         scope: &DetectionScope,
         rec: &Recorder,
     ) -> Result<(Vec<DetectionRow>, Vec<TraceEntry>), CoreError> {
-        let mut det = ctx.clones[idx].lock().expect("detector clone lock");
-        let mut resil_guard = ctx
-            .resil_clones
-            .get(idx)
-            .map(|m| m.lock().expect("hardened detector clone lock"));
-        let resil: Option<&mut dyn Detector> = resil_guard.as_mut().map(|g| &mut ***g);
-        let mut rows = Vec::with_capacity(1);
-        let mut trace = RunTrace::default();
-        process_one(&mut **det, resil, scope_ctx, scope, rec, &mut rows, &mut trace)?;
-        Ok((rows, trace.entries))
+        match worker {
+            DetWorker::Borrowed => {
+                let mut det = lock(&self.detector);
+                let mut resil = self.resil_detector.as_ref().map(lock);
+                process_one(&mut **det, resil.as_mut().map(|g| &mut ***g), ctx, scope, rec)
+            }
+            DetWorker::Clones(free) => {
+                let (mut det, mut resil) =
+                    lock(free).pop().expect("one detector clone per running scope");
+                let out = process_one(&mut *det, resil.as_deref_mut(), ctx, scope, rec);
+                lock(free).push((det, resil));
+                out
+            }
+        }
     }
 
     fn classify(row: &DetectionRow) -> EffectClass {
@@ -345,7 +352,7 @@ impl<'t, D: Detector + ?Sized> CampaignTask for DetTask<'t, D> {
             scenario: self.scenario.clone(),
             fault_matrix: matrix,
             trace,
-            model_name: self.detector.borrow().name().to_string(),
+            model_name: lock(&self.detector).name().to_string(),
         }
     }
 
@@ -447,18 +454,15 @@ pub(crate) fn store_row_to_json_line(values: &[Value], resil: bool) -> Result<St
 }
 
 /// Runs the fault-free / faulty (/ hardened) detection passes for one
-/// image — the one scope body shared by the sequential driver (on the
-/// campaign's borrowed detectors) and the parallel driver (on private
-/// clones). Every detector comes back pristine.
+/// image on the given detectors — the campaign's borrowed ones inline,
+/// private clones on the pool. Every detector comes back pristine.
 fn process_one<D: Detector + ?Sized>(
     det: &mut D,
     resil: Option<&mut D>,
     ctx: &ScopeCtx<'_>,
     scope: &DetectionScope,
     rec: &Recorder,
-    rows: &mut Vec<DetectionRow>,
-    trace: &mut RunTrace,
-) -> Result<(), CoreError> {
+) -> Result<(Vec<DetectionRow>, Vec<TraceEntry>), CoreError> {
     let worker = alfi_pool::worker_index();
     let image = &scope.image;
 
@@ -489,7 +493,6 @@ fn process_one<D: Detector + ?Sized>(
             det.detect(image)?.remove(0)
         };
         let applied = armed.collect_applied();
-        rec.record_applied(applied.len() as u64);
         let totals = monitor.totals();
         let mut nets = det.networks_mut();
         armed.disarm(&mut nets);
@@ -523,15 +526,16 @@ fn process_one<D: Detector + ?Sized>(
     };
 
     let _eval = rec.span_on(Phase::Eval, worker);
-    for a in &applied {
-        trace.entries.push(TraceEntry {
+    let entries = applied
+        .iter()
+        .map(|a| TraceEntry {
             image_id: scope.record.image_id,
             applied: *a,
             output_nan_count: totals.nan as u32,
             output_inf_count: totals.inf as u32,
-        });
-    }
-    rows.push(DetectionRow {
+        })
+        .collect();
+    let row = DetectionRow {
         image_id: scope.record.image_id,
         ground_truth: scope.ground_truth.clone(),
         orig,
@@ -540,9 +544,8 @@ fn process_one<D: Detector + ?Sized>(
         faults: applied,
         corr_nan: totals.nan,
         corr_inf: totals.inf,
-    });
-    rec.item_finished();
-    Ok(())
+    };
+    Ok((vec![row], entries))
 }
 
 /// Trace-level fault-effect classification of one detection row: DUE
@@ -782,6 +785,50 @@ mod tests {
             .run_with(&RunConfig::new().threads(2))
             .unwrap_err();
         assert!(matches!(err, CoreError::Unsupported { .. }), "got {err:?}");
+    }
+
+    #[test]
+    fn pooled_runs_clone_the_detector_once_per_thread() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        struct Counting(YoloGrid, Arc<AtomicUsize>);
+        impl Detector for Counting {
+            fn name(&self) -> &str {
+                "counting"
+            }
+            fn num_classes(&self) -> usize {
+                self.0.num_classes()
+            }
+            fn networks(&self) -> Vec<&alfi_nn::graph::Network> {
+                self.0.networks()
+            }
+            fn networks_mut(&mut self) -> Vec<&mut alfi_nn::graph::Network> {
+                self.0.networks_mut()
+            }
+            fn detect(
+                &self,
+                images: &Tensor,
+            ) -> Result<Vec<Vec<Detection>>, alfi_nn::NnError> {
+                self.0.detect(images)
+            }
+            fn clone_boxed(&self) -> Option<Box<dyn Detector>> {
+                self.1.fetch_add(1, SeqCst);
+                self.0.clone_boxed()
+            }
+        }
+        let dcfg = DetectorConfig { input_hw: 32, width_mult: 0.125, ..DetectorConfig::default() };
+        let clones = Arc::new(AtomicUsize::new(0));
+        let mut det = Counting(YoloGrid::new(&dcfg), Arc::clone(&clones));
+        let mut s = Scenario::default();
+        s.dataset_size = 6;
+        s.injection_target = InjectionTarget::Weights;
+        let ds = DetectionDataset::new(6, dcfg.num_classes, 3, 32, 3);
+        let loader = DetectionLoader::new(ds, 2);
+        let result = ObjDetCampaign::new(&mut det, s, loader)
+            .run_with(&RunConfig::new().threads(2))
+            .unwrap();
+        assert_eq!(result.rows.len(), 6);
+        let n = clones.load(SeqCst);
+        assert!(n <= 2, "{n} detector clones for 6 images at 2 threads");
     }
 
     #[test]

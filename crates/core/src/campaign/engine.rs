@@ -20,20 +20,24 @@
 //!   scope boundaries, in CSV or columnar binary format
 //!   ([`ArtifactFormat`]).
 //!
+//! The driver works in *rounds*. It pulls scopes from the task's
+//! stream, arms each one with its fault slot, and once a round is full
+//! runs it — inline on the calling thread at `threads` ≤ 1, on the
+//! shared pool otherwise — then merges the round in slot order and
+//! drops it. The merge is the single place where results become
+//! visible: metrics, the row sink, the stop policy and the recorder's
+//! outcome tallies and injection events all see rows in the same order
+//! at every thread count. At most one round of scopes (input tensors
+//! included) is alive at a time, so memory stays bounded at any
+//! campaign size.
+//!
 //! Every persisted row carries a deterministic
 //! [`RowKey`] `(epoch, batch, fault_id)`: `fault_id` is the fault
 //! matrix slot that was armed while the row's scope ran, `batch` the
-//! ordinal of its loader batch within the epoch. Both drivers assign
-//! keys identically, so row artifacts are byte-identical at every
-//! thread count — and the columnar store's fault-id index answers
-//! "what did fault *n* do?" without a full scan.
-//!
-//! Scopes are *streamed* from the task (one batch materialized at a
-//! time), so memory stays bounded on large scenarios. The engine is
-//! deterministic by construction: the sequential and parallel drivers
-//! assign fault slots in the same order, and the pool merges worker
-//! results in work order, so outputs are bit-identical for any thread
-//! count.
+//! ordinal of its loader batch within the epoch. Keys are assigned at
+//! arm time, before any work runs, so row artifacts are byte-identical
+//! at every thread count — and the columnar store's fault-id index
+//! answers "what did fault *n* do?" without a full scan.
 
 use crate::artifact::{ArtifactSink, Artifacts};
 use crate::campaign::config::RunConfig;
@@ -51,7 +55,7 @@ use alfi_trace::{EffectClass, Phase, Recorder, RunMeta};
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Read-only context handed to scope processing: the scenario, the
 /// resolved injectable-layer targets (primary and hardened) and the
@@ -78,10 +82,12 @@ pub type ScopeSink<'a, S> = dyn FnMut(bool, S) -> Result<ControlFlow<()>, CoreEr
 /// Implementations own the *what* (model forwards, fault arming, row
 /// shapes); the engine owns the *how* (policy iteration, slot
 /// assignment, replay validation, tracing, pooling, persistence).
-/// [`ImgClassCampaign`](crate::campaign::ImgClassCampaign) and
-/// [`ObjDetCampaign`](crate::campaign::ObjDetCampaign) are the two
-/// in-tree implementations.
-pub trait CampaignTask {
+/// [`ImgClassCampaign`](crate::campaign::ImgClassCampaign),
+/// [`VitCampaign`](crate::campaign::VitCampaign) and
+/// [`ObjDetCampaign`](crate::campaign::ObjDetCampaign) are the in-tree
+/// implementations. Pooled runs share the task across workers, hence
+/// the [`Sync`] bound.
+pub trait CampaignTask: Sync {
     /// Unit of work armed with one fault set — a single image or a
     /// whole batch, at the task's discretion.
     type Scope: Send + Sync;
@@ -89,11 +95,10 @@ pub trait CampaignTask {
     type Row: Send;
     /// Finalized campaign output.
     type Result;
-    /// Shared read-only state for parallel workers (model references,
-    /// per-item detector clones); built once per parallel run.
-    type ParCtx<'s>: Sync
-    where
-        Self: 's;
+    /// Per-run state that concurrently running scopes need besides the
+    /// task itself (detection: the detectors each running scope arms in
+    /// place). Built once per run by [`worker`](Self::worker).
+    type Worker: Sync;
 
     /// Campaign kind recorded in the trace header (`"classification"`,
     /// `"detection"`).
@@ -132,39 +137,26 @@ pub trait CampaignTask {
         sink: &mut ScopeSink<'_, Self::Scope>,
     ) -> Result<ControlFlow<()>, CoreError>;
 
-    /// Runs the fault-free / faulty (/ hardened) passes for one scope,
-    /// appending one row per contained image and the applied-fault
-    /// trace entries. Used by the sequential driver.
-    fn process_scope(
+    /// Builds the worker state for a run in which up to `threads`
+    /// scopes execute at once (`1`: inline on the driver thread).
+    /// Called once, before the first scope.
+    fn worker(&self, threads: usize) -> Result<Self::Worker, CoreError>;
+
+    /// Runs the fault-free / faulty (/ hardened) passes for one scope
+    /// and returns one row per contained image plus the applied-fault
+    /// trace entries. Called inline or from pool tasks; the engine
+    /// merges the results in slot order.
+    #[allow(clippy::type_complexity)]
+    fn process(
         &self,
+        worker: &Self::Worker,
         ctx: &ScopeCtx<'_>,
-        scope: &Self::Scope,
-        rec: &Recorder,
-        rows: &mut Vec<Self::Row>,
-        trace: &mut RunTrace,
-    ) -> Result<(), CoreError>;
-
-    /// Builds the shared worker context for a parallel run over
-    /// `items` scopes (e.g. one detector clone per item).
-    fn prepare_parallel<'s>(&'s self, items: usize) -> Result<Self::ParCtx<'s>, CoreError>;
-
-    /// Parallel counterpart of [`process_scope`](Self::process_scope):
-    /// processes work item `idx` using only the [`Sync`] context (the
-    /// task itself is not shared with workers). Results are merged by
-    /// the engine in work order.
-    fn process_parallel(
-        ctx: &Self::ParCtx<'_>,
-        scope_ctx: &ScopeCtx<'_>,
-        idx: usize,
         scope: &Self::Scope,
         rec: &Recorder,
     ) -> Result<(Vec<Self::Row>, Vec<TraceEntry>), CoreError>;
 
     /// Trace-level fault-effect classification of one row
-    /// (masked / SDC / DUE), recorded as an outcome tally. An
-    /// associated function (no `&self`) so both drivers can classify
-    /// rows as they are produced — the parallel workers never see the
-    /// task itself.
+    /// (masked / SDC / DUE), recorded as an outcome tally at the merge.
     fn classify(row: &Self::Row) -> EffectClass;
 
     /// NaN / Inf element counts observed in a row's corrupted output,
@@ -193,7 +185,7 @@ pub trait CampaignTask {
     ) -> Result<Option<Box<dyn ArtifactSink<Self::Row>>>, CoreError>;
 }
 
-/// Fault-slot bookkeeping for the sequential driver: decides, per
+/// Fault-slot bookkeeping for the driver: decides, per
 /// scope, whether to advance to a fresh matrix slot or reuse the last
 /// armed one, for all three [`InjectionPolicy`] variants.
 ///
@@ -252,7 +244,7 @@ impl<'m> SlotCursor<'m> {
     }
 }
 
-/// Collected raw output of a driver, before task finalization.
+/// Collected raw output of the driver, before task finalization.
 struct Parts<T: CampaignTask + ?Sized> {
     rows: Vec<T::Row>,
     matrix: FaultMatrix,
@@ -264,8 +256,8 @@ struct Parts<T: CampaignTask + ?Sized> {
 
 /// Pre-resolved counter handles for the engine's live instrumentation.
 ///
-/// Registered once per run; both drivers bump these as scopes finish,
-/// so a metrics endpoint or health watchdog sees throughput, injection
+/// Registered once per run; the driver bumps these as it merges each
+/// finished scope, so a metrics endpoint or health watchdog sees throughput, injection
 /// and outcome data *while* the campaign runs instead of after it. All
 /// counters are [`Class::Deterministic`] — their final values depend
 /// only on the scenario, never on thread count or timing — except the
@@ -336,17 +328,17 @@ impl EngineMetrics {
         }
     }
 
-    /// Records one finished scope: its rows (classified live) and the
-    /// applied-fault trace entries it produced.
+    /// Records one finished scope: its rows (classified live), the
+    /// applied-fault trace entries it produced and how long it ran.
     fn scope_done<T: CampaignTask + ?Sized>(
         &self,
         rows: &[T::Row],
         entries: &[TraceEntry],
-        started: Instant,
+        elapsed: Duration,
     ) {
         self.scopes.inc();
         self.items.add(rows.len() as u64);
-        self.scope_seconds.observe(started.elapsed().as_secs_f64());
+        self.scope_seconds.observe(elapsed.as_secs_f64());
         for row in rows {
             match T::classify(row) {
                 EffectClass::Masked => self.masked.inc(),
@@ -436,8 +428,8 @@ impl Drop for KernelGuard {
 }
 
 /// The one campaign driver: runs any [`CampaignTask`] under a
-/// [`RunConfig`], sequentially or fanned out on the shared
-/// [`alfi_pool`] pool, with identical outputs either way.
+/// [`RunConfig`], inline or fanned out on the shared [`alfi_pool`]
+/// pool, with identical outputs either way.
 #[derive(Debug, Clone, Copy)]
 pub struct Engine<'c> {
     cfg: &'c RunConfig,
@@ -449,9 +441,8 @@ impl<'c> Engine<'c> {
         Engine { cfg }
     }
 
-    /// Runs the task end to end: trace header + item count, driver
-    /// dispatch (`threads` ≤ 1 sequential, otherwise pooled),
-    /// outcome/injection event recording in deterministic row order,
+    /// Runs the task end to end: trace header + item count, the
+    /// round-based driver (inline at `threads` ≤ 1, otherwise pooled),
     /// task finalization and optional `save_dir` persistence.
     ///
     /// # Errors
@@ -508,12 +499,8 @@ impl<'c> Engine<'c> {
             }
             None => None,
         };
-        let parts = match cfg.resolve_threads(per_image) {
-            0 | 1 => sequential_parts(task, &rec, metrics.as_ref(), stop_policy, &mut sink),
-            threads => {
-                parallel_parts(task, threads, &rec, metrics.as_ref(), stop_policy, &mut sink)
-            }
-        };
+        let threads = cfg.resolve_threads(per_image);
+        let parts = drive(task, threads, &rec, metrics.as_ref(), stop_policy, &mut sink);
         if let Some(watchdog) = watchdog {
             // Final registry sample happens inside stop(), so an
             // end-of-run threshold breach is still raised (and already
@@ -521,17 +508,6 @@ impl<'c> Engine<'c> {
             watchdog.stop();
         }
         let parts = parts?;
-        if rec.is_enabled() {
-            // Outcome tallies and structured injection events in
-            // deterministic row/trace order — the same order for any
-            // thread count, which keeps the event log byte-reproducible.
-            for row in &parts.rows {
-                rec.record_outcome(T::classify(row));
-            }
-            for entry in &parts.trace.entries {
-                rec.record_injection(injection_event(entry.image_id, &entry.applied));
-            }
-        }
         if let Some(report) = &parts.stop {
             if rec.is_enabled() {
                 // Decisions in decision order — deterministic, so the
@@ -578,23 +554,6 @@ impl<'c> Engine<'c> {
         }
         Ok(task.finalize(parts.rows, parts.matrix, parts.trace))
     }
-
-    /// Bare pooled run with tracing and persistence disabled. Unlike
-    /// [`run`](Self::run) with `threads: 1`, `threads == 1` here still
-    /// uses the parallel driver (pool task guards stay active), which
-    /// makes it the hook for tests that must exercise pooled fan-out
-    /// regardless of configuration.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run); non-`per_image` policies are rejected.
-    pub fn forced_parallel<T: CampaignTask>(
-        task: &T,
-        threads: usize,
-    ) -> Result<T::Result, CoreError> {
-        let parts = parallel_parts(task, threads, &Recorder::disabled(), None, None, &mut None)?;
-        Ok(task.finalize(parts.rows, parts.matrix, parts.trace))
-    }
 }
 
 /// Resolves targets and cross-checks the hardened model's list: a
@@ -635,107 +594,166 @@ fn take_or_generate<T: CampaignTask + ?Sized>(
     }
 }
 
-/// SDC/DUE counts among freshly produced rows, for stop-policy
-/// observation. Classification is pure, so recounting here costs one
-/// extra pass over the scope's rows and nothing else.
-fn classify_delta<T: CampaignTask + ?Sized>(rows: &[T::Row]) -> (u64, u64) {
-    let (mut sdc, mut due) = (0u64, 0u64);
-    for row in rows {
-        match T::classify(row) {
-            EffectClass::Sdc => sdc += 1,
-            EffectClass::Due => due += 1,
-            EffectClass::Masked => {}
-        }
+/// Scopes per round and thread when neither `threads` ≤ 1 nor a stop
+/// policy fixes the round length: enough to keep every worker busy
+/// past the end-of-round barrier, few enough that a round's input
+/// tensors stay a bounded, small allocation.
+const SCOPES_PER_THREAD: usize = 32;
+
+/// Armed scopes per round. One at `threads` ≤ 1 (inline, so the
+/// kernels keep their own pool parallelism); `check_every` under a stop
+/// policy, so every round ends on a decision boundary; otherwise
+/// [`SCOPES_PER_THREAD`] per thread.
+fn round_len(threads: usize, stop: Option<&StopPolicy>) -> usize {
+    match stop {
+        _ if threads <= 1 => 1,
+        Some(policy) => policy.check_every,
+        None => SCOPES_PER_THREAD * threads,
     }
-    (sdc, due)
 }
 
-/// Sequential driver: streams scopes epoch by epoch, arming fault
-/// slots through a [`SlotCursor`] (all three policies) and processing
-/// each scope in place. With a [`StopPolicy`], every scope advances the
-/// stop state's boundary clock and the stream breaks as soon as a
-/// campaign-stop decision fires. Rows stream into `sink` (when
-/// persistence is on) as each scope completes, keyed by
-/// `(epoch, batch, armed slot)`.
-fn sequential_parts<T: CampaignTask + ?Sized>(
-    task: &T,
-    rec: &Recorder,
-    metrics: Option<&EngineMetrics>,
-    policy: Option<StopPolicy>,
-    sink: &mut Option<Box<dyn ArtifactSink<T::Row>>>,
-) -> Result<Parts<T>, CoreError> {
-    let (targets, resil_targets) = resolve_checked(task)?;
-    let matrix = take_or_generate(task, &targets)?;
-    let scenario = task.scenario();
-    let mut rows = Vec::new();
-    let mut trace = RunTrace::default();
-    let mut stop = policy.map(|p| StopState::new(p, &matrix));
-    let mut cursor = SlotCursor::new(&matrix, scenario.injection_policy);
-    for epoch in 0..scenario.num_runs as u64 {
-        cursor.begin_epoch();
-        // Loader-batch ordinal within the epoch; −1 until the first
-        // scope so a stream that never flags `first_in_batch` still
-        // lands in batch 0.
-        let mut batch_no: i64 = -1;
-        let flow = task.stream_scopes(epoch, &mut |first_in_batch, scope| {
-            if stop.as_ref().is_some_and(StopState::stopped) {
+/// One armed scope waiting in the current round.
+struct Armed<'m, S> {
+    scope: S,
+    faults: &'m [FaultRecord],
+    key: RowKey,
+}
+
+/// The streaming driver's state: the round being filled and
+/// everything the ordered merge folds into.
+struct Driver<'r, T: CampaignTask> {
+    task: &'r T,
+    worker: T::Worker,
+    /// The scope context minus the armed faults.
+    base: ScopeCtx<'r>,
+    threads: usize,
+    round_len: usize,
+    cursor: SlotCursor<'r>,
+    /// Loader-batch ordinal within the epoch; −1 until the first scope
+    /// so a stream that never flags `first_in_batch` still lands in
+    /// batch 0.
+    batch_no: i64,
+    round: Vec<Armed<'r, T::Scope>>,
+    /// Scopes armed into the current round, skipped ones included.
+    armed: usize,
+    stop: Option<StopState>,
+    rec: &'r Recorder,
+    metrics: Option<&'r EngineMetrics>,
+    sink: &'r mut Option<Box<dyn ArtifactSink<T::Row>>>,
+    rows: Vec<T::Row>,
+    trace: RunTrace,
+}
+
+impl<T: CampaignTask> Driver<'_, T> {
+    /// Arms one streamed scope into the current round (or skips it when
+    /// its stratum is retired) and runs the round once it is full.
+    /// Breaks the stream when the matrix is exhausted or a stop
+    /// decision fired.
+    fn push(
+        &mut self,
+        epoch: u64,
+        first_in_batch: bool,
+        scope: T::Scope,
+    ) -> Result<ControlFlow<()>, CoreError> {
+        if first_in_batch || self.batch_no < 0 {
+            self.batch_no += 1;
+        }
+        let Some(faults) = self.cursor.arm(first_in_batch) else {
+            return Ok(ControlFlow::Break(()));
+        };
+        self.armed += 1;
+        let execute =
+            self.stop.as_mut().is_none_or(|s| s.begin_scope(faults) == ScopeDecision::Execute);
+        if execute {
+            let slot = (self.cursor.position() - 1) as u64;
+            let key = RowKey::new(epoch as u32, self.batch_no as u32, slot);
+            self.round.push(Armed { scope, faults, key });
+        }
+        if self.armed == self.round_len {
+            self.run_round()?;
+            if self.stop.as_ref().is_some_and(StopState::stopped) {
                 return Ok(ControlFlow::Break(()));
             }
-            if first_in_batch || batch_no < 0 {
-                batch_no += 1;
-            }
-            let Some(faults) = cursor.arm(first_in_batch) else {
-                return Ok(ControlFlow::Break(()));
-            };
-            if let Some(state) = stop.as_mut() {
-                if state.begin_scope(faults) == ScopeDecision::Skip {
-                    state.boundary_check();
-                    return Ok(ControlFlow::Continue(()));
-                }
-            }
-            let ctx = ScopeCtx {
-                scenario,
-                targets: &targets,
-                resil_targets: resil_targets.as_deref(),
-                faults,
-            };
+        }
+        Ok(ControlFlow::Continue(()))
+    }
+
+    /// Runs the current round — inline at `threads` ≤ 1, on the pool
+    /// otherwise — merges it in slot order, evaluates the stop boundary
+    /// and drops the round's scopes.
+    fn run_round(&mut self) -> Result<(), CoreError> {
+        let (task, worker, base, rec) = (self.task, &self.worker, self.base, self.rec);
+        let round = &self.round;
+        let process = |i: usize| {
+            let armed = &round[i];
+            let ctx = ScopeCtx { faults: armed.faults, ..base };
             let started = Instant::now();
-            let (row_mark, entry_mark) = (rows.len(), trace.entries.len());
-            task.process_scope(&ctx, &scope, rec, &mut rows, &mut trace)?;
-            if let Some(m) = metrics {
-                m.scope_done::<T>(&rows[row_mark..], &trace.entries[entry_mark..], started);
-            }
-            if let Some(s) = sink.as_mut() {
-                let key =
-                    RowKey::new(epoch as u32, batch_no as u32, (cursor.position() - 1) as u64);
-                for row in &rows[row_mark..] {
-                    s.append(key, row)?;
-                }
-            }
-            if let Some(state) = stop.as_mut() {
-                let fresh = &rows[row_mark..];
-                let (sdc, due) = classify_delta::<T>(fresh);
-                state.observe(faults, fresh.len() as u64, sdc, due);
-                state.boundary_check();
-            }
-            Ok(ControlFlow::Continue(()))
-        })?;
-        if flow.is_break() {
-            break;
+            let out = task.process(worker, &ctx, &armed.scope, rec);
+            (out, started.elapsed())
+        };
+        let outcomes: Vec<_> = if self.threads <= 1 {
+            (0..round.len()).map(process).collect()
+        } else {
+            alfi_pool::global()
+                .try_run_indexed(self.threads, round.len(), process)
+                .map_err(|p| CoreError::WorkerPanic { message: p.message() })?
+        };
+        for (armed, (out, elapsed)) in std::mem::take(&mut self.round).into_iter().zip(outcomes) {
+            let (rows, entries) = out?;
+            self.merge(&armed, rows, entries, elapsed)?;
         }
+        self.armed = 0;
+        if let Some(state) = self.stop.as_mut() {
+            state.boundary_check();
+        }
+        Ok(())
     }
-    Ok(Parts { rows, matrix, trace, stop: stop.map(StopState::finish) })
+
+    /// Folds one finished scope into the run, in slot order: metrics,
+    /// the row sink, the stop tallies and the recorder's live outcome
+    /// tallies and injection events.
+    fn merge(
+        &mut self,
+        armed: &Armed<'_, T::Scope>,
+        rows: Vec<T::Row>,
+        entries: Vec<TraceEntry>,
+        elapsed: Duration,
+    ) -> Result<(), CoreError> {
+        if let Some(m) = self.metrics {
+            m.scope_done::<T>(&rows, &entries, elapsed);
+        }
+        let (mut sdc, mut due) = (0u64, 0u64);
+        for row in &rows {
+            if let Some(s) = self.sink.as_mut() {
+                s.append(armed.key, row)?;
+            }
+            let class = T::classify(row);
+            match class {
+                EffectClass::Sdc => sdc += 1,
+                EffectClass::Due => due += 1,
+                EffectClass::Masked => {}
+            }
+            self.rec.record_outcome(class);
+            self.rec.item_finished();
+        }
+        for entry in &entries {
+            self.rec.record_injection(injection_event(entry.image_id, &entry.applied));
+        }
+        if let Some(state) = self.stop.as_mut() {
+            state.observe(armed.faults, rows.len() as u64, sdc, due);
+        }
+        self.rows.extend(rows);
+        self.trace.entries.extend(entries);
+        Ok(())
+    }
 }
 
-/// Parallel driver (`per_image` only — the other policies couple
-/// scopes through shared slots): materializes the scope list (slot ==
-/// work index), builds the task's worker context and fans out on the
-/// shared pool. `try_run_indexed` merges results in work order, so
-/// row order, fault assignment and all outputs are bit-identical to
-/// the sequential driver for any thread count (clamped by
-/// `ALFI_POOL_THREADS`), and a worker panic is converted into an
-/// error instead of unwinding through campaign state.
-fn parallel_parts<T: CampaignTask>(
+/// The streaming driver: pulls scopes epoch by epoch, arms each through
+/// a [`SlotCursor`] (all three policies) and runs them in rounds of
+/// [`round_len`] armed scopes, so at most one round is alive at a time.
+/// Threads > 1 require `per_image` — the other policies couple scopes
+/// through shared slots.
+fn drive<T: CampaignTask>(
     task: &T,
     threads: usize,
     rec: &Recorder,
@@ -743,124 +761,52 @@ fn parallel_parts<T: CampaignTask>(
     policy: Option<StopPolicy>,
     sink: &mut Option<Box<dyn ArtifactSink<T::Row>>>,
 ) -> Result<Parts<T>, CoreError> {
-    if task.scenario().injection_policy != InjectionPolicy::PerImage {
+    let scenario = task.scenario();
+    if threads > 1 && scenario.injection_policy != InjectionPolicy::PerImage {
         return Err(CoreError::Scenario(alfi_scenario::ScenarioError::InvalidField {
             field: "injection_policy",
-            reason: "run_parallel requires per_image".into(),
+            reason: "threads > 1 requires per_image".into(),
         }));
     }
-    let threads = threads.max(1);
     let (targets, resil_targets) = resolve_checked(task)?;
     let matrix = take_or_generate(task, &targets)?;
-
-    // Materialize scopes with their row keys: slot == work index under
-    // `per_image`, and the batch ordinal is counted exactly as the
-    // sequential driver counts it, so both drivers key rows
-    // identically.
-    let mut work: Vec<T::Scope> = Vec::new();
-    let mut keys: Vec<RowKey> = Vec::new();
-    for epoch in 0..task.scenario().num_runs as u64 {
-        let mut batch_no: i64 = -1;
+    let mut driver = Driver {
+        task,
+        worker: task.worker(threads)?,
+        base: ScopeCtx {
+            scenario,
+            targets: &targets,
+            resil_targets: resil_targets.as_deref(),
+            faults: &[],
+        },
+        threads,
+        round_len: round_len(threads, policy.as_ref()),
+        cursor: SlotCursor::new(&matrix, scenario.injection_policy),
+        batch_no: -1,
+        round: Vec::new(),
+        armed: 0,
+        stop: policy.map(|p| StopState::new(p, &matrix)),
+        rec,
+        metrics,
+        sink,
+        rows: Vec::new(),
+        trace: RunTrace::default(),
+    };
+    for epoch in 0..scenario.num_runs as u64 {
+        driver.cursor.begin_epoch();
+        driver.batch_no = -1;
         let flow = task.stream_scopes(epoch, &mut |first_in_batch, scope| {
-            if work.len() >= matrix.num_slots() {
-                return Ok(ControlFlow::Break(()));
-            }
-            if first_in_batch || batch_no < 0 {
-                batch_no += 1;
-            }
-            keys.push(RowKey::new(epoch as u32, batch_no as u32, work.len() as u64));
-            work.push(scope);
-            Ok(ControlFlow::Continue(()))
+            driver.push(epoch, first_in_batch, scope)
         })?;
         if flow.is_break() {
             break;
         }
     }
-
-    let ctx = task.prepare_parallel(work.len())?;
-    let scenario = task.scenario();
-    let targets_ref: &[LayerTarget] = &targets;
-    let resil_ref = resil_targets.as_deref();
-    let matrix_ref = &matrix;
-    let work_ref = &work;
-    let ctx_ref = &ctx;
-    let process = |idx: usize| {
-        let scope_ctx = ScopeCtx {
-            scenario,
-            targets: targets_ref,
-            resil_targets: resil_ref,
-            faults: matrix_ref.faults_for_slot(idx),
-        };
-        let started = Instant::now();
-        let out = T::process_parallel(ctx_ref, &scope_ctx, idx, &work_ref[idx], rec);
-        if let (Some(m), Ok((rows, entries))) = (metrics, &out) {
-            // Counter bumps commute, so live publication from
-            // workers in completion order still snapshots to the
-            // same final values as the sequential driver.
-            m.scope_done::<T>(rows, entries, started);
-        }
-        out
-    };
-
-    let Some(stop_policy) = policy else {
-        // No stop policy: one fan-out over the whole work list.
-        let outcomes = alfi_pool::global()
-            .try_run_indexed(threads, work.len(), process)
-            .map_err(|p| CoreError::WorkerPanic { message: p.message() })?;
-        let mut rows = Vec::with_capacity(work.len());
-        let mut trace = RunTrace::default();
-        for (idx, outcome) in outcomes.into_iter().enumerate() {
-            let (r, entries) = outcome?;
-            if let Some(s) = sink.as_mut() {
-                for row in &r {
-                    s.append(keys[idx], row)?;
-                }
-            }
-            rows.extend(r);
-            trace.entries.extend(entries);
-        }
-        return Ok(Parts { rows, matrix, trace, stop: None });
-    };
-
-    // Stop-policy runs fan out in rounds of `check_every` scopes with
-    // an ordered merge: all of a round's scopes are armed (or skipped)
-    // before any work is dispatched, and the boundary is evaluated only
-    // after the whole round has been merged — exactly the state the
-    // sequential driver sees at the same boundary, so decisions,
-    // executed scope sets and row order are bit-identical for any
-    // thread count.
-    let mut state = StopState::new(stop_policy, &matrix);
-    let mut rows = Vec::new();
-    let mut trace = RunTrace::default();
-    let mut next = 0usize;
-    while next < work.len() && !state.stopped() {
-        let round_end = (next + stop_policy.check_every).min(work.len());
-        let mut round: Vec<usize> = Vec::with_capacity(round_end - next);
-        for idx in next..round_end {
-            if state.begin_scope(matrix.faults_for_slot(idx)) == ScopeDecision::Execute {
-                round.push(idx);
-            }
-        }
-        next = round_end;
-        let round_ref = &round;
-        let outcomes = alfi_pool::global()
-            .try_run_indexed(threads, round.len(), |i| process(round_ref[i]))
-            .map_err(|p| CoreError::WorkerPanic { message: p.message() })?;
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            let (r, entries) = outcome?;
-            let (sdc, due) = classify_delta::<T>(&r);
-            state.observe(matrix.faults_for_slot(round[i]), r.len() as u64, sdc, due);
-            if let Some(s) = sink.as_mut() {
-                for row in &r {
-                    s.append(keys[round[i]], row)?;
-                }
-            }
-            rows.extend(r);
-            trace.entries.extend(entries);
-        }
-        state.boundary_check();
+    if driver.armed > 0 {
+        driver.run_round()?;
     }
-    Ok(Parts { rows, matrix, trace, stop: Some(state.finish()) })
+    let Driver { rows, trace, stop, .. } = driver;
+    Ok(Parts { rows, matrix, trace, stop: stop.map(StopState::finish) })
 }
 
 #[cfg(test)]
@@ -868,6 +814,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultValue;
     use alfi_scenario::InjectionTarget;
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
     /// A matrix with `slots` single-fault slots; slot `i`'s record has
     /// `layer == i`, so tests can read back which slot armed a scope.
@@ -1004,5 +951,139 @@ mod tests {
         assert_eq!(c.arm(false).unwrap()[0].layer, 0);
         assert_eq!(c.arm(false).unwrap()[0].layer, 0);
         assert_eq!(c.position(), 1);
+    }
+
+    /// Live [`Probe`] scopes, and the most ever alive at once.
+    #[derive(Default)]
+    struct Liveness {
+        live: AtomicUsize,
+        peak: AtomicUsize,
+    }
+
+    /// A scope that counts itself alive until dropped.
+    struct Probe(Arc<Liveness>);
+
+    impl Drop for Probe {
+        fn drop(&mut self) {
+            self.0.live.fetch_sub(1, SeqCst);
+        }
+    }
+
+    /// One-image scopes, one per matrix slot, whose rows record the
+    /// recorder's outcome total as their scope saw it.
+    struct ProbeTask {
+        scenario: Scenario,
+        matrix: FaultMatrix,
+        liveness: Arc<Liveness>,
+    }
+
+    fn probe_task(scopes: usize) -> ProbeTask {
+        let mut scenario = Scenario::default();
+        scenario.dataset_size = scopes;
+        scenario.injection_target = InjectionTarget::Weights;
+        ProbeTask { scenario, matrix: matrix(scopes), liveness: Arc::default() }
+    }
+
+    impl CampaignTask for ProbeTask {
+        type Scope = Probe;
+        type Row = u64;
+        type Result = Vec<u64>;
+        type Worker = ();
+
+        fn kind(&self) -> &'static str {
+            "probe"
+        }
+
+        fn model_name(&self) -> String {
+            "probe".into()
+        }
+
+        fn scenario(&self) -> &Scenario {
+            &self.scenario
+        }
+
+        fn replay_matrix(&self) -> Option<&FaultMatrix> {
+            Some(&self.matrix)
+        }
+
+        fn resolve_targets(
+            &self,
+        ) -> Result<(Vec<LayerTarget>, Option<Vec<LayerTarget>>), CoreError> {
+            Ok((Vec::new(), None))
+        }
+
+        fn stream_scopes(
+            &self,
+            _epoch: u64,
+            sink: &mut ScopeSink<'_, Probe>,
+        ) -> Result<ControlFlow<()>, CoreError> {
+            for i in 0..self.matrix.num_slots() {
+                let live = self.liveness.live.fetch_add(1, SeqCst) + 1;
+                self.liveness.peak.fetch_max(live, SeqCst);
+                if sink(i == 0, Probe(Arc::clone(&self.liveness)))?.is_break() {
+                    return Ok(ControlFlow::Break(()));
+                }
+            }
+            Ok(ControlFlow::Continue(()))
+        }
+
+        fn worker(&self, _threads: usize) -> Result<(), CoreError> {
+            Ok(())
+        }
+
+        fn process(
+            &self,
+            _worker: &(),
+            _ctx: &ScopeCtx<'_>,
+            _scope: &Probe,
+            rec: &Recorder,
+        ) -> Result<(Vec<u64>, Vec<TraceEntry>), CoreError> {
+            Ok((vec![rec.summary().outcomes.total()], Vec::new()))
+        }
+
+        fn classify(_row: &u64) -> EffectClass {
+            EffectClass::Masked
+        }
+
+        fn finalize(&self, rows: Vec<u64>, _matrix: FaultMatrix, _trace: RunTrace) -> Vec<u64> {
+            rows
+        }
+
+        fn make_row_sink(
+            &self,
+            _format: ArtifactFormat,
+            _artifacts: &Artifacts,
+        ) -> Result<Option<Box<dyn ArtifactSink<u64>>>, CoreError> {
+            Ok(None)
+        }
+    }
+
+    #[test]
+    fn at_most_one_round_of_scopes_is_alive() {
+        for threads in [1, 4] {
+            let round = round_len(threads, None);
+            let task = probe_task(10 * round + 3);
+            let rows = Engine::new(&RunConfig::new().threads(threads)).run(&task).unwrap();
+            assert_eq!(rows.len(), 10 * round + 3);
+            assert_eq!(task.liveness.live.load(SeqCst), 0, "every scope was dropped");
+            let peak = task.liveness.peak.load(SeqCst);
+            assert!(peak <= round, "{peak} scopes alive at once, round is {round} ({threads} threads)");
+        }
+    }
+
+    #[test]
+    fn later_rounds_see_earlier_outcomes_counted() {
+        for threads in [1, 4] {
+            let round = round_len(threads, None);
+            let task = probe_task(3 * round + 1);
+            let rec = Recorder::new();
+            let cfg = RunConfig::new().threads(threads).recorder(rec.clone());
+            let rows = Engine::new(&cfg).run(&task).unwrap();
+            for (i, &seen) in rows.iter().enumerate() {
+                let merged = (i - i % round) as u64;
+                assert_eq!(seen, merged, "scope {i} at {threads} threads");
+            }
+            assert_eq!(rec.summary().outcomes.total(), rows.len() as u64);
+        }
     }
 }

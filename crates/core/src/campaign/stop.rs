@@ -16,10 +16,13 @@
 //! wall clock, thread count or pool schedule, so a stopped run produces
 //! byte-identical artifacts for any `ALFI_POOL_THREADS`, and the
 //! executed scope set of a truncated campaign-scope run is a strict
-//! prefix of the equivalent unbounded run. The parallel driver
-//! preserves the contract by fanning out in rounds of `check_every`
-//! scopes with an ordered merge, so it observes exactly the state the
-//! sequential driver would at each boundary.
+//! prefix of the equivalent unbounded run. The engine preserves the
+//! contract by construction: it calls [`StopState::begin_scope`] when
+//! it arms a scope, runs scopes in rounds that end on a boundary (one
+//! scope inline, `check_every` scopes on the pool), and calls
+//! [`StopState::observe`] and [`StopState::boundary_check`] only from
+//! its ordered merge, so every boundary sees the same tallies at any
+//! thread count.
 
 use crate::fault::FaultRecord;
 use crate::matrix::FaultMatrix;
@@ -56,7 +59,7 @@ pub(crate) struct StopReport {
     pub outcome: StopOutcome,
 }
 
-/// Incremental stop-policy evaluator shared by both drivers.
+/// Incremental stop-policy evaluator driven by the engine's merge.
 ///
 /// Call order per scope: [`begin_scope`](Self::begin_scope) (arms the
 /// boundary clock, decides execute/skip), [`observe`](Self::observe)

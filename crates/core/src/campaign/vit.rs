@@ -114,8 +114,7 @@ impl CampaignTask for VitCampaign {
     type Scope = ClassificationScope;
     type Row = ClassificationRow;
     type Result = ClassificationCampaignResult;
-    /// Workers only need the wrapped classification pipeline.
-    type ParCtx<'s> = &'s ImgClassCampaign;
+    type Worker = ();
 
     fn kind(&self) -> &'static str {
         "vit"
@@ -145,29 +144,18 @@ impl CampaignTask for VitCampaign {
         self.inner.stream_scopes(epoch, sink)
     }
 
-    fn process_scope(
+    fn worker(&self, threads: usize) -> Result<(), CoreError> {
+        self.inner.worker(threads)
+    }
+
+    fn process(
         &self,
+        worker: &(),
         ctx: &ScopeCtx<'_>,
         scope: &ClassificationScope,
         rec: &Recorder,
-        rows: &mut Vec<ClassificationRow>,
-        trace: &mut RunTrace,
-    ) -> Result<(), CoreError> {
-        self.inner.process_scope(ctx, scope, rec, rows, trace)
-    }
-
-    fn prepare_parallel<'s>(&'s self, items: usize) -> Result<Self::ParCtx<'s>, CoreError> {
-        self.inner.prepare_parallel(items)
-    }
-
-    fn process_parallel(
-        ctx: &Self::ParCtx<'_>,
-        scope_ctx: &ScopeCtx<'_>,
-        idx: usize,
-        scope: &ClassificationScope,
-        rec: &Recorder,
     ) -> Result<(Vec<ClassificationRow>, Vec<TraceEntry>), CoreError> {
-        ImgClassCampaign::process_parallel(ctx, scope_ctx, idx, scope, rec)
+        self.inner.process(worker, ctx, scope, rec)
     }
 
     fn classify(row: &ClassificationRow) -> EffectClass {

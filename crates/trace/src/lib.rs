@@ -172,6 +172,32 @@ pub struct InjectionEvent {
     pub corrupted: f32,
 }
 
+/// Encodes an injection event's `original` / `corrupted` value for the
+/// JSON event log. Finite values are JSON numbers; the non-finite ones
+/// JSON cannot express become the strings `"NaN"`, `"Infinity"` and
+/// `"-Infinity"`, so a bit flip into the exponent stays readable and
+/// distinguishable after the run. [`decode_event_value`] inverts it.
+pub fn encode_event_value(v: f32) -> Json {
+    match v {
+        v if v.is_finite() => Json::Float(v as f64),
+        v if v.is_nan() => Json::Str("NaN".into()),
+        f32::INFINITY => Json::Str("Infinity".into()),
+        _ => Json::Str("-Infinity".into()),
+    }
+}
+
+/// Decodes a value written by [`encode_event_value`]; `None` for
+/// anything else.
+pub fn decode_event_value(j: &Json) -> Option<f32> {
+    match j.as_str() {
+        Some("NaN") => Some(f32::NAN),
+        Some("Infinity") => Some(f32::INFINITY),
+        Some("-Infinity") => Some(f32::NEG_INFINITY),
+        Some(_) => None,
+        None => j.as_f64().map(|v| v as f32),
+    }
+}
+
 /// The verdict of one statistical stop decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StopVerdict {
@@ -422,7 +448,6 @@ struct Inner {
     stops: Mutex<Vec<StopEvent>>,
     stop_outcome: Mutex<Option<StopOutcome>>,
     health: Mutex<Vec<String>>,
-    applied_live: AtomicU64,
     items_done: AtomicU64,
     items_total: AtomicU64,
     last_progress_ms: AtomicU64,
@@ -448,7 +473,6 @@ impl Inner {
             stops: Mutex::new(Vec::new()),
             stop_outcome: Mutex::new(None),
             health: Mutex::new(Vec::new()),
-            applied_live: AtomicU64::new(0),
             items_done: AtomicU64::new(0),
             items_total: AtomicU64::new(0),
             last_progress_ms: AtomicU64::new(0),
@@ -549,20 +573,9 @@ impl Recorder {
         }
     }
 
-    /// Bumps the live applied-fault counter feeding the progress line.
-    /// Call during processing; the structured [`InjectionEvent`]s are
-    /// recorded separately (post-run, in deterministic row order) via
-    /// [`Recorder::record_injection`] and are what the event log and
-    /// summary count.
-    pub fn record_applied(&self, n: u64) {
-        if let Some(inner) = &self.inner {
-            inner.applied_live.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Records one applied fault: bumps the per-layer / per-bit
-    /// counters and appends the structured event. Campaign drivers call
-    /// this in deterministic row order so the event log is reproducible
+    /// counters and appends the structured event. The campaign engine
+    /// calls this at its ordered merge, in deterministic row order so the event log is reproducible
     /// across thread counts.
     pub fn record_injection(&self, ev: InjectionEvent) {
         if let Some(inner) = &self.inner {
@@ -665,10 +678,7 @@ impl Recorder {
             return; // another thread just printed
         }
         let rate = if elapsed_ms > 0 { done as f64 * 1000.0 / elapsed_ms as f64 } else { 0.0 };
-        // Campaigns report applied faults live via `record_applied`
-        // (structured `InjectionEvent`s land post-run, in row order).
-        let injections =
-            inner.applied_live.load(Ordering::Relaxed).max(lock(&inner.events).len() as u64);
+        let injections = lock(&inner.events).len();
         eprintln!(
             "[alfi] {done}/{total} items | inj {injections} | masked {} sdc {} due {} | {rate:.1} items/s",
             inner.masked.load(Ordering::Relaxed),
@@ -765,8 +775,8 @@ impl Recorder {
                         None => Json::Null,
                     },
                 ),
-                ("original".to_string(), Json::Float(ev.original as f64)),
-                ("corrupted".to_string(), Json::Float(ev.corrupted as f64)),
+                ("original".to_string(), encode_event_value(ev.original)),
+                ("corrupted".to_string(), encode_event_value(ev.corrupted)),
             ]);
             out.push_str(&obj.compact());
             out.push('\n');

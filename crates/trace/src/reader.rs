@@ -4,7 +4,7 @@
 //! events, closing summary) so the artifact is an API, not a
 //! write-only file.
 
-use crate::{InjectionEvent, OutcomeTallies, RunMeta, StopEvent, StopVerdict, EVENT_FORMAT_VERSION};
+use crate::{decode_event_value, InjectionEvent, OutcomeTallies, RunMeta, StopEvent, StopVerdict, EVENT_FORMAT_VERSION};
 use alfi_serde::Json;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -130,6 +130,13 @@ fn float(obj: &Json, key: &str, line: usize) -> Result<f64, EventLogError> {
     })
 }
 
+fn event_value(obj: &Json, key: &str, line: usize) -> Result<f32, EventLogError> {
+    decode_event_value(field(obj, key, line)?).ok_or_else(|| EventLogError::Record {
+        line,
+        detail: format!("field `{key}` is not a number"),
+    })
+}
+
 fn string(obj: &Json, key: &str, line: usize) -> Result<String, EventLogError> {
     field(obj, key, line)?
         .as_str()
@@ -196,8 +203,8 @@ fn parse_injection(obj: &Json, line: usize) -> Result<InjectionEvent, EventLogEr
         image_id: uint(obj, "image_id", line)?,
         layer: uint(obj, "layer", line)? as usize,
         bit,
-        original: float(obj, "original", line)? as f32,
-        corrupted: float(obj, "corrupted", line)? as f32,
+        original: event_value(obj, "original", line)?,
+        corrupted: event_value(obj, "corrupted", line)?,
     })
 }
 
@@ -417,6 +424,46 @@ mod tests {
         assert_eq!(summary.per_bit, BTreeMap::from([(7, 1), (30, 1)]));
         assert_eq!(summary.outcomes, OutcomeTallies { masked: 1, sdc: 0, due: 1 });
         assert_eq!((summary.nan, summary.inf), (4, 1));
+    }
+
+    #[test]
+    fn non_finite_values_round_trip_as_strings() {
+        let rec = Recorder::new();
+        rec.set_meta(meta());
+        let values = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for (i, &v) in values.iter().enumerate() {
+            rec.record_injection(InjectionEvent {
+                image_id: i as u64,
+                layer: 1,
+                bit: Some(30),
+                original: -1.5,
+                corrupted: v,
+            });
+        }
+        let text = rec.events_jsonl();
+        for name in ["NaN", "Infinity", "-Infinity"] {
+            assert!(text.contains(&format!("\"corrupted\":\"{name}\"")), "{name} missing: {text}");
+        }
+        assert!(text.contains("\"original\":-1.5"), "finite values stay numbers");
+        assert!(!text.contains("null,"), "no value is lost as null: {text}");
+        let log = EventLog::parse(&text).unwrap();
+        let back: Vec<f32> = log.injections.iter().map(|e| e.corrupted).collect();
+        assert!(back[0].is_nan());
+        assert_eq!(back[1..], [f32::INFINITY, f32::NEG_INFINITY]);
+        assert!(log.injections.iter().all(|e| e.original == -1.5));
+    }
+
+    #[test]
+    fn unknown_value_strings_are_rejected() {
+        let good = Recorder::new();
+        good.set_meta(meta());
+        let header = good.events_jsonl().lines().next().unwrap().to_string();
+        let log = format!(
+            "{header}\n{{\"event\":\"injection\",\"image_id\":0,\"layer\":0,\"bit\":1,\
+             \"original\":\"nan\",\"corrupted\":1.0}}\n"
+        );
+        let err = EventLog::parse(&log).unwrap_err();
+        assert!(err.to_string().contains("original"), "{err}");
     }
 
     #[test]

@@ -12,7 +12,8 @@ use alfi::datasets::{ClassificationDataset, ClassificationLoader, DetectionDatas
 use alfi::eval::write_detection_outputs;
 use alfi::nn::detection::{DetectorConfig, YoloGrid};
 use alfi::nn::models::{alexnet, ModelConfig};
-use alfi::scenario::{FaultMode, InjectionPolicy, InjectionTarget, Scenario};
+use alfi::scenario::{ArtifactFormat, FaultMode, InjectionPolicy, InjectionTarget, Scenario};
+use alfi::trace::Recorder;
 
 fn model_cfg() -> ModelConfig {
     ModelConfig { input_hw: 16, width_mult: 0.0625, seed: 7, ..ModelConfig::default() }
@@ -62,8 +63,8 @@ fn neuron_campaign_is_byte_reproducible() {
     assert_eq!(corr_a, corr_b);
 }
 
-/// The std::thread::scope parallel driver produces the same CSV bytes
-/// as the sequential driver, for any worker count.
+/// The pooled driver produces the same CSV bytes as the inline one,
+/// for any worker count.
 #[test]
 fn parallel_campaign_matches_sequential_bytes() {
     let mcfg = model_cfg();
@@ -155,9 +156,8 @@ fn rate_map_campaign_matches_sequential_bytes_at_all_thread_counts() {
     }
 }
 
-/// The pool-backed parallel detection campaign writes artifacts that
-/// are byte-identical to the sequential driver's at 1, 2 and 7
-/// threads — fault file, trace, detection JSONs and IVMOD metrics.
+/// The pooled detection campaign writes artifacts that are
+/// byte-identical to the inline run's at 1, 2 and 7 threads — fault file, trace, detection JSONs and IVMOD metrics.
 #[test]
 fn parallel_detection_artifacts_match_sequential_bytes() {
     const FILES: [&str; 7] = [
@@ -229,4 +229,52 @@ fn written_artifacts_are_byte_identical_across_runs() {
     }
     let _ = std::fs::remove_dir_all(&a);
     let _ = std::fs::remove_dir_all(&b);
+}
+
+/// The engine runs pooled campaigns in rounds of 32 scopes per thread
+/// and merges each round in slot order. 548 scopes span 9 rounds at 2
+/// threads and 3 at 7, the last one ragged at both, so every round
+/// boundary and the final partial round are exercised. Row artifacts in
+/// both formats and the event log must come out byte-identical to the
+/// inline (1-thread) run.
+#[test]
+fn multi_round_artifacts_are_byte_identical_at_1_2_7_threads() {
+    const SCOPES: usize = 548;
+    let mcfg = model_cfg();
+    let ds = ClassificationDataset::new(SCOPES, mcfg.num_classes, 3, 16, 11);
+    let mut s = scenario(InjectionTarget::Neurons);
+    s.dataset_size = SCOPES;
+    let run = |threads: usize, format: ArtifactFormat| {
+        let dir = std::env::temp_dir().join(format!("alfi_it_rounds_{threads}_{format:?}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = RunConfig::new()
+            .threads(threads)
+            .recorder(Recorder::new())
+            .save_dir(&dir)
+            .format(format);
+        ImgClassCampaign::new(alexnet(&mcfg), s.clone(), ClassificationLoader::new(ds.clone(), 4))
+            .run_with(&cfg)
+            .unwrap();
+        let read = |name: &str| std::fs::read(dir.join(name)).unwrap();
+        let events = String::from_utf8(read("events.jsonl")).unwrap();
+        let events = events.replace(&format!("\"threads\":{threads}}}"), "\"threads\":_}");
+        let rows: &[&str] = match format {
+            ArtifactFormat::Csv => &["results_orig.csv", "results_corr.csv"],
+            ArtifactFormat::Binary => &["rows.alfic"],
+        };
+        let mut files = vec![("events.jsonl", events.into_bytes())];
+        files.extend(rows.iter().map(|&name| (name, read(name))));
+        let _ = std::fs::remove_dir_all(&dir);
+        files
+    };
+    for format in [ArtifactFormat::Csv, ArtifactFormat::Binary] {
+        let inline = run(1, format);
+        let events = String::from_utf8_lossy(&inline[0].1);
+        assert_eq!(events.matches("\"event\":\"injection\"").count(), SCOPES);
+        for threads in [2, 7] {
+            for ((name, a), (_, b)) in inline.iter().zip(run(threads, format)) {
+                assert!(*a == b, "{name} differs between 1 and {threads} threads");
+            }
+        }
+    }
 }

@@ -2,8 +2,8 @@
 //!
 //! Pins the exact text artifacts (CSV + JSON) of one classification
 //! and one detection campaign under `tests/golden/`, and checks that
-//! both the sequential drivers and the pool-backed parallel drivers
-//! reproduce them byte-for-byte. Any change to fault sampling, kernel
+//! the campaign driver reproduces them byte-for-byte both inline and on
+//! the pool. Any change to fault sampling, kernel
 //! summation order, CSV/JSON encoders or the campaign drivers shows
 //! up as a readable text diff here.
 //!
@@ -92,7 +92,7 @@ fn classification_artifacts_match_goldens() {
         "sequential run",
     );
 
-    // The pool-backed parallel driver must hit the same goldens.
+    // Pooled runs must hit the same goldens.
     for threads in [2usize, 5] {
         let par = classification_campaign().run_with(&RunConfig::new().threads(threads)).unwrap();
         assert_golden(

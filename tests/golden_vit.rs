@@ -2,8 +2,8 @@
 //!
 //! Pins the transformer campaign's row artifacts — CSV *and* the
 //! columnar binary store — under `tests/golden/vit/`, and checks that
-//! the sequential driver and the pool-backed parallel drivers at 1, 2,
-//! 4 and 7 threads reproduce them byte-for-byte. The scenario is
+//! the engine's one driver reproduces them byte-for-byte inline and on
+//! the pool at 1, 2, 4 and 7 threads. The scenario is
 //! multi-resolution (a rate glob over the first block's attention
 //! linears plus a quantized-int override on the head), so this also
 //! locks the per-layer plan resolution and the `layer.*` store meta.

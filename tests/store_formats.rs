@@ -67,7 +67,7 @@ fn run(format: ArtifactFormat, threads: usize, size: usize, tag: &str) -> BTreeM
 }
 
 /// The binary store must convert back to the exact CSV bytes the csv
-/// format writes, for the sequential driver and every pooled fan-out,
+/// format writes, inline and at every pooled thread count,
 /// and the store file itself must be bit-identical across all of them
 /// (pinned as a golden artifact).
 #[test]
