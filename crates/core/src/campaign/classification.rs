@@ -11,7 +11,7 @@
 
 use crate::artifact::{ArtifactSink, Artifacts, ColumnarSink, SinkStats};
 use crate::campaign::config::RunConfig;
-use crate::campaign::engine::{CampaignTask, Engine, ScopeCtx, ScopeSink};
+use crate::campaign::engine::{CampaignTask, Engine, Instances, ScopeCtx, ScopeSink};
 use crate::error::CoreError;
 use crate::fault::AppliedFault;
 use crate::injector::arm_faults;
@@ -19,7 +19,7 @@ use crate::matrix::{FaultMatrix, LayerTarget};
 use crate::monitor::{attach_monitor, NanInfMonitor};
 use crate::persist::{save_fault_matrix, RunTrace, TraceEntry};
 use alfi_datasets::loader::ClassificationLoader;
-use alfi_nn::Network;
+use alfi_nn::{Network, NodeId};
 use alfi_scenario::{ArtifactFormat, InjectionPolicy, Scenario};
 use alfi_store::{ColumnSpec, ColumnType, Encoding, RowKey, Schema, Value};
 use alfi_tensor::Tensor;
@@ -266,13 +266,35 @@ impl ImgClassCampaign {
     }
 }
 
+/// A faulty-model instance and, with a hardened model attached, its
+/// hardened counterpart: the clones one running scope arms in place.
+pub type ModelPair = (Network, Option<Network>);
+
+impl ImgClassCampaign {
+    /// The first node the scope's faults can change: the faulty pass
+    /// starts there and reads every earlier value from the golden
+    /// activations. `None` makes the faulty pass run the whole graph:
+    /// when the golden model carries hooks (its clones do not, so its
+    /// activations are not theirs), or when a fault names an unknown
+    /// layer (arming reports that). Weight and neuron faults alike
+    /// change only their own node and what follows it.
+    fn resume_node(&self, ctx: &ScopeCtx<'_>) -> Option<NodeId> {
+        if self.model.num_hooks() > 0 {
+            return None;
+        }
+        ctx.faults
+            .iter()
+            .try_fold(NodeId::MAX, |from, f| ctx.targets.get(f.layer).map(|t| from.min(t.node_id)))
+    }
+}
+
 impl CampaignTask for ImgClassCampaign {
     type Scope = ClassificationScope;
     type Row = ClassificationRow;
     type Result = ClassificationCampaignResult;
-    /// Models are [`Sync`] and every scope clones its own faulty copy,
-    /// so running scopes need nothing beyond the campaign itself.
-    type Worker = ();
+    /// One `(model, hardened)` clone pair per concurrently running
+    /// scope, armed and disarmed in place.
+    type Worker = Instances<ModelPair>;
 
     fn kind(&self) -> &'static str {
         "classification"
@@ -345,18 +367,21 @@ impl CampaignTask for ImgClassCampaign {
         Ok(ControlFlow::Continue(()))
     }
 
-    fn worker(&self, _threads: usize) -> Result<(), CoreError> {
-        Ok(())
+    fn worker(&self, threads: usize) -> Result<Instances<ModelPair>, CoreError> {
+        Instances::build(threads, || Ok((self.model.clone(), self.resil_model.clone())))
     }
 
     /// Runs the fault-free / faulty / hardened triple for one fault
     /// scope (a single image or a whole batch): one row per contained
-    /// image. Trace entries attribute each applied fault to the image
-    /// its batch coordinate addressed (weight faults and out-of-range
-    /// coordinates attribute to the scope's first image).
+    /// image. The faulty pass resumes from the golden activations at
+    /// the first faulted node; the hardened pass, whose prefix differs
+    /// from the golden one, runs the whole graph. Trace entries
+    /// attribute each applied fault to the image its batch coordinate
+    /// addressed (weight faults and out-of-range coordinates attribute
+    /// to the scope's first image).
     fn process(
         &self,
-        _worker: &(),
+        instances: &Instances<ModelPair>,
         ctx: &ScopeCtx<'_>,
         scope: &ClassificationScope,
         rec: &Recorder,
@@ -364,40 +389,40 @@ impl CampaignTask for ImgClassCampaign {
         let worker = alfi_pool::worker_index();
         let images = &scope.images;
         let n = scope.records.len();
-        let orig_logits = {
+        let golden = {
             let _span = rec.span_on(Phase::Forward, worker);
-            self.model.forward_traced(images, rec)?
+            self.model.forward_activations(images, rec)?
         };
+        let from = self.resume_node(ctx);
 
-        let mut corrupted = self.model.clone();
-        let monitor = Arc::new(NanInfMonitor::new());
-        attach_monitor(&mut corrupted, Arc::<NanInfMonitor>::clone(&monitor) as _)?;
-        let armed = {
-            let _span = rec.span_on(Phase::Inject, worker);
-            let mut nets = [&mut corrupted];
-            arm_faults(&mut nets, ctx.targets, ctx.faults, self.scenario.injection_target)?
-        };
-        let corr_logits = {
-            let _span = rec.span_on(Phase::Forward, worker);
-            corrupted.forward_traced(images, rec)?
-        };
-        let applied = armed.collect_applied();
-        let totals = monitor.totals();
-        monitor.report_to(rec);
-
-        let resil_logits = match (&self.resil_model, ctx.resil_targets) {
-            (Some(resil), Some(rt)) => {
-                let mut hardened = resil.clone();
-                let _armed_r = {
-                    let _span = rec.span_on(Phase::Inject, worker);
-                    let mut nets = [&mut hardened];
-                    arm_faults(&mut nets, rt, ctx.faults, self.scenario.injection_target)?
+        let (corr_logits, applied, totals, resil_logits) =
+            instances.with(|(corrupted, hardened)| -> Result<_, CoreError> {
+                let monitor = Arc::new(NanInfMonitor::new());
+                let handles = attach_monitor(corrupted, Arc::<NanInfMonitor>::clone(&monitor) as _)?;
+                let faulty = armed_forward(corrupted, ctx.targets, ctx, rec, |net| match from {
+                    Some(from) => net.forward_resume(images, &golden, from, rec),
+                    None => net.forward_traced(images, rec),
+                });
+                for h in handles {
+                    corrupted.remove_hook(h);
+                }
+                let (corr_logits, applied) = faulty?;
+                let mut totals = monitor.totals();
+                // The skipped prefix computed exactly the golden values:
+                // count its non-finite elements there.
+                for act in (0..from.unwrap_or(0)).map_while(|id| golden.node(id)) {
+                    totals.nan += act.count_nan();
+                    totals.inf += act.count_inf();
+                }
+                let resil_logits = match (hardened.as_mut(), ctx.resil_targets) {
+                    (Some(h), Some(rt)) => {
+                        Some(armed_forward(h, rt, ctx, rec, |net| net.forward_traced(images, rec))?.0)
+                    }
+                    _ => None,
                 };
-                let _span = rec.span_on(Phase::Forward, worker);
-                Some(hardened.forward_traced(images, rec)?)
-            }
-            _ => None,
-        };
+                Ok((corr_logits, applied, totals, resil_logits))
+            })?;
+        rec.record_nonfinite(totals.nan as u64, totals.inf as u64);
 
         let _eval = rec.span_on(Phase::Eval, worker);
         let mut entries = Vec::with_capacity(applied.len());
@@ -413,25 +438,24 @@ impl CampaignTask for ImgClassCampaign {
                 output_inf_count: totals.inf as u32,
             });
         }
-        let mut rows = Vec::with_capacity(n);
-        for i in 0..n {
-            // Faults are listed on every row of the scope; per-image
-            // attribution lives in the trace entries above.
-            rows.push(ClassificationRow {
+        let orig_top5 = softmax_topk_rows(golden.output(), n, 5)?;
+        let corr_top5 = softmax_topk_rows(&corr_logits, n, 5)?;
+        let resil_top5 = resil_logits.as_ref().map(|l| softmax_topk_rows(l, n, 5)).transpose()?;
+        let rows = (0..n)
+            .map(|i| ClassificationRow {
                 image_id: scope.records[i].image_id,
                 file_name: scope.records[i].file_name.clone(),
                 label: scope.labels[i],
-                orig_top5: softmax_topk_row(&orig_logits, i, 5)?,
-                corr_top5: softmax_topk_row(&corr_logits, i, 5)?,
-                resil_top5: resil_logits
-                    .as_ref()
-                    .map(|l| softmax_topk_row(l, i, 5))
-                    .transpose()?,
+                orig_top5: orig_top5[i].clone(),
+                corr_top5: corr_top5[i].clone(),
+                resil_top5: resil_top5.as_ref().map(|r| r[i].clone()),
+                // Faults are listed on every row of the scope; per-image
+                // attribution lives in the trace entries above.
                 faults: applied.clone(),
                 corr_nan: totals.nan,
                 corr_inf: totals.inf,
-            });
-        }
+            })
+            .collect();
         Ok((rows, entries))
     }
 
@@ -713,11 +737,35 @@ pub(crate) fn classify_row(row: &ClassificationRow) -> EffectClass {
     }
 }
 
-/// Softmax over batch logits `[n, classes]` and top-k extraction of row `i`.
-fn softmax_topk_row(logits: &Tensor, i: usize, k: usize) -> Result<TopK, CoreError> {
+/// Arms the scope's faults on `net` in place, runs `forward` on it and
+/// disarms them bit-exactly again, on the error path too. Returns the
+/// output and the faults applied during the pass.
+fn armed_forward(
+    net: &mut Network,
+    targets: &[LayerTarget],
+    ctx: &ScopeCtx<'_>,
+    rec: &Recorder,
+    forward: impl FnOnce(&Network) -> Result<Tensor, alfi_nn::NnError>,
+) -> Result<(Tensor, Vec<AppliedFault>), CoreError> {
+    let worker = alfi_pool::worker_index();
+    let armed = {
+        let _span = rec.span_on(Phase::Inject, worker);
+        arm_faults(&mut [&mut *net], targets, ctx.faults, ctx.scenario.injection_target)?
+    };
+    let out = {
+        let _span = rec.span_on(Phase::Forward, worker);
+        forward(net)
+    };
+    let applied = armed.collect_applied();
+    armed.disarm(&mut [net]);
+    Ok((out?, applied))
+}
+
+/// Top-k `(class, probability)` of the first `n` rows of batch logits
+/// `[n, classes]`, from one softmax over the whole tensor.
+fn softmax_topk_rows(logits: &Tensor, n: usize, k: usize) -> Result<Vec<TopK>, CoreError> {
     let probs = logits.softmax_lastdim().map_err(alfi_nn::NnError::from)?;
-    let row = probs.batch_item(i).map_err(alfi_nn::NnError::from)?;
-    Ok(row.topk(k))
+    (0..n).map(|i| Ok(probs.batch_item(i).map_err(alfi_nn::NnError::from)?.topk(k))).collect()
 }
 
 #[cfg(test)]
@@ -964,6 +1012,181 @@ mod tests {
         assert_eq!(summary.meta.as_ref().unwrap().campaign, "classification");
         assert!(summary.phases.contains_key("forward"));
         assert!(!summary.layer_forward.is_empty(), "per-layer forward timings recorded");
+    }
+
+    /// `[1, 3, 2, 2]` images through flatten and three linear layers
+    /// whose weight magnitudes, all in `[1, 2)`, are drawn from `seed`:
+    /// an exponent flip of bit 30 turns any of them into Inf or NaN.
+    /// Every third weight is negative, except that `fc1_scale` other
+    /// than 1 makes fc1's weights all positive and scales them.
+    fn dense_net(seed: u64, fc1_scale: f32) -> Network {
+        let mut rng = alfi_rng::Rng::from_seed(seed);
+        let mut weights = |dims: &[usize], scale: f32| {
+            let n = dims.iter().product();
+            let data = (0..n)
+                .map(|i| {
+                    let w: f32 = rng.gen_range(1.0f32..2.0);
+                    if i % 3 == 0 && scale == 1.0 { -w } else { w * scale }
+                })
+                .collect();
+            Tensor::from_vec(data, dims).unwrap()
+        };
+        let mut net = Network::new("dense");
+        let linear = |w: Tensor| alfi_nn::Layer::Linear(alfi_nn::Linear { weight: w, bias: None });
+        net.push_seq("flatten", alfi_nn::Layer::Flatten).unwrap();
+        net.push_seq("fc1", linear(weights(&[4, 12], fc1_scale))).unwrap();
+        net.push_seq("fc2", linear(weights(&[4, 4], 1.0))).unwrap();
+        let out = net.push_seq("fc3", linear(weights(&[10, 4], 1.0))).unwrap();
+        net.set_output(out).unwrap();
+        net
+    }
+
+    fn dense_dataset(n: usize) -> ClassificationDataset {
+        ClassificationDataset::new(n, 10, 3, 2, 21)
+    }
+
+    fn topk_bits(topk: &TopK) -> Vec<(usize, u32)> {
+        topk.iter().map(|&(c, p)| (c, p.to_bits())).collect()
+    }
+
+    /// Recomputes every row's faulty pass the slow way — a fresh,
+    /// hook-free clone of `model` with the row's faults armed, a NaN/Inf
+    /// monitor on every node and a forward over the whole graph — and
+    /// checks the campaign's row against it.
+    fn assert_rows_match_full_forward(
+        model: &Network,
+        scenario: &Scenario,
+        ds: &ClassificationDataset,
+        rows: &[ClassificationRow],
+    ) {
+        let dims = vec![1, ds.channels(), ds.image_hw(), ds.image_hw()];
+        let targets = crate::matrix::resolve_targets(&[model], scenario, &[Some(dims)]).unwrap();
+        for row in rows {
+            let mut clone = model.clone();
+            let monitor = Arc::new(NanInfMonitor::new());
+            attach_monitor(&mut clone, Arc::<NanInfMonitor>::clone(&monitor) as _).unwrap();
+            let records: Vec<_> = row.faults.iter().map(|a| a.record).collect();
+            let _armed =
+                arm_faults(&mut [&mut clone], &targets, &records, scenario.injection_target).unwrap();
+            let image = Tensor::stack(&[ds.get(row.image_id as usize).image]).unwrap();
+            let expect = softmax_topk_rows(&clone.forward(&image).unwrap(), 1, 5).unwrap();
+            let t = monitor.totals();
+            assert_eq!(topk_bits(&row.corr_top5), topk_bits(&expect[0]), "image {}", row.image_id);
+            assert_eq!((row.corr_nan, row.corr_inf), (t.nan, t.inf), "image {}", row.image_id);
+        }
+    }
+
+    #[test]
+    fn non_finite_counts_include_the_golden_prefix_before_the_faulted_node() {
+        // fc1's weights are ~1e38, so its output overflows to ±Inf and
+        // fc2 mixes them into NaN on every image, before any fault: the
+        // faults land on fc2 or fc3 only, so the faulty pass resumes
+        // past fc1 and must count its golden non-finite values.
+        let mut s = Scenario::default();
+        s.dataset_size = 12;
+        s.injection_target = InjectionTarget::Weights;
+        s.fault_mode = FaultMode::exponent_bit_flip();
+        s.layer_range = Some((1, 2));
+        let model = dense_net(5, 1.0e38);
+        let golden = model.forward_all(&Tensor::stack(&[dense_dataset(1).get(0).image]).unwrap());
+        let fc1 = &golden.unwrap()[1];
+        assert!(fc1.count_inf() > 0, "the golden prefix overflows");
+        let loader = ClassificationLoader::new(dense_dataset(12), 1);
+        let result = ImgClassCampaign::new(model.clone(), s.clone(), loader)
+            .run_with(&RunConfig::new().threads(2))
+            .unwrap();
+        assert_eq!(result.rows.len(), 12);
+        assert!(result.rows.iter().all(|r| r.corr_inf > 0 && r.corr_nan > 0));
+        assert_rows_match_full_forward(&model, &s, &dense_dataset(12), &result.rows);
+    }
+
+    #[test]
+    fn golden_model_with_a_mutating_hook_runs_the_whole_faulty_graph() {
+        // The hook changes the golden model's first activation; its
+        // clones do not carry it, so resuming from the golden
+        // activations would hand them values they never compute.
+        let mut s = Scenario::default();
+        s.dataset_size = 8;
+        s.injection_target = InjectionTarget::Weights;
+        s.fault_mode = FaultMode::BitFlip { bit_range: (24, 30) };
+        s.layer_range = Some((1, 2));
+        let mut model = dense_net(9, 1.0);
+        let loader = ClassificationLoader::new(dense_dataset(8), 1);
+        let mut c = ImgClassCampaign::new(model.clone(), s.clone(), loader);
+        attach_monitor(
+            &mut c.model,
+            Arc::new(|ctx: &alfi_nn::LayerCtx, t: &mut Tensor| {
+                if ctx.node_id == 1 {
+                    t.map_inplace(|v| v * -3.0 + 1.0);
+                }
+            }),
+        )
+        .unwrap();
+        let result = c.run_with(&RunConfig::default()).unwrap();
+        assert_rows_match_full_forward(&model, &s, &dense_dataset(8), &result.rows);
+        // The hooked golden model reports different clean outputs, so
+        // the comparison above is not vacuous.
+        model.clear_hooks();
+        let image = Tensor::stack(&[dense_dataset(1).get(0).image]).unwrap();
+        let clean = softmax_topk_rows(&model.forward(&image).unwrap(), 1, 5).unwrap();
+        assert_ne!(topk_bits(&clean[0]), topk_bits(&result.rows[0].orig_top5));
+    }
+
+    #[test]
+    fn worker_instances_are_pristine_after_hundreds_of_scopes() {
+        // 300 scopes of two bit-30 flips on weights in [1, 2): each
+        // flip turns a weight into Inf or NaN. Run on two pooled
+        // instances (plus hardened copies), then every instance must
+        // hold the golden weights bit for bit.
+        let mut s = Scenario::default();
+        s.dataset_size = 300;
+        s.injection_target = InjectionTarget::Weights;
+        s.fault_mode = FaultMode::BitFlip { bit_range: (30, 30) };
+        s.faults_per_image = FaultCount::Fixed(2);
+        let model = dense_net(13, 1.0);
+        let loader = ClassificationLoader::new(dense_dataset(300), 1);
+        let c = ImgClassCampaign::new(model.clone(), s.clone(), loader).with_resil_model(model.clone());
+        let (targets, resil_targets) = c.resolve_targets().unwrap();
+        let matrix = FaultMatrix::generate(&s, &targets).unwrap();
+        let mut scopes = Vec::new();
+        let flow = c
+            .stream_scopes(0, &mut |_, scope| {
+                scopes.push(scope);
+                Ok(ControlFlow::Continue(()))
+            })
+            .unwrap();
+        assert!(flow.is_continue());
+        assert_eq!(scopes.len(), 300);
+        let instances = c.worker(2).unwrap();
+        let rec = Recorder::disabled();
+        let outs = alfi_pool::global()
+            .try_run_indexed(2, scopes.len(), |i| {
+                let ctx = ScopeCtx {
+                    scenario: &s,
+                    targets: &targets,
+                    resil_targets: resil_targets.as_deref(),
+                    faults: matrix.faults_for_slot(i),
+                };
+                c.process(&instances, &ctx, &scopes[i], &rec).unwrap()
+            })
+            .unwrap();
+        let applied: Vec<AppliedFault> = outs.into_iter().flat_map(|(rows, _)| rows[0].faults.clone()).collect();
+        assert_eq!(applied.len(), 600);
+        assert!(applied.iter().any(|a| a.corrupted.is_nan()), "some flips produce NaN");
+        let weight_bits = |net: &Network| -> Vec<Vec<u32>> {
+            net.nodes()
+                .iter()
+                .filter_map(|n| n.layer.weight())
+                .map(|w| w.data().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let pairs = instances.into_inner();
+        assert_eq!(pairs.len(), 2);
+        for (faulty, hardened) in &pairs {
+            assert_eq!(weight_bits(faulty), weight_bits(&model));
+            assert_eq!(weight_bits(hardened.as_ref().unwrap()), weight_bits(&model));
+            assert_eq!(faulty.num_hooks(), 0, "monitor hooks are removed");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use crate::artifact::{ArtifactSink, Artifacts, ColumnarSink};
 use crate::campaign::classification::fault_columns;
 use crate::campaign::config::RunConfig;
-use crate::campaign::engine::{CampaignTask, Engine, ScopeCtx, ScopeSink};
+use crate::campaign::engine::{lock, CampaignTask, Engine, Instances, ScopeCtx, ScopeSink};
 use crate::error::CoreError;
 use crate::fault::AppliedFault;
 use crate::injector::arm_faults;
@@ -37,7 +37,7 @@ use alfi_tensor::Tensor;
 use alfi_trace::{EffectClass, Phase, Recorder};
 use std::ops::ControlFlow;
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 /// Per-image detection campaign row.
 #[derive(Debug, Clone)]
@@ -192,19 +192,11 @@ type ClonePair = (Box<dyn Detector>, Option<Box<dyn Detector>>);
 
 /// The detectors running scopes arm faults on.
 enum DetWorker {
-    /// Inline runs: the campaign's own borrowed detectors.
+    /// Inline runs: the campaign's own borrowed detectors. A borrowed
+    /// detector's panic ends the run, which never locks it again.
     Borrowed,
-    /// Pooled runs: one clone pair per concurrently running scope. A
-    /// scope takes a free pair and puts it back, pristine, when done.
-    Clones(Mutex<Vec<ClonePair>>),
-}
-
-/// Locks a mutex, recovering the guard if a panicking scope poisoned
-/// it. The clone stack is only popped and pushed, so it is valid at
-/// every step; a borrowed detector's panic ends the run, which never
-/// locks it again.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
+    /// Pooled runs: one clone pair per concurrently running scope.
+    Clones(Instances<ClonePair>),
 }
 
 impl<'t, D: Detector + ?Sized> CampaignTask for DetTask<'t, D> {
@@ -300,14 +292,12 @@ impl<'t, D: Detector + ?Sized> CampaignTask for DetTask<'t, D> {
         };
         let det = lock(&self.detector);
         let resil = self.resil_detector.as_ref().map(lock);
-        let pairs = (0..threads)
-            .map(|_| {
-                let primary = clone_of(&det, "primary")?;
-                let hardened = resil.as_ref().map(|r| clone_of(r, "hardened")).transpose()?;
-                Ok((primary, hardened))
-            })
-            .collect::<Result<_, CoreError>>()?;
-        Ok(DetWorker::Clones(Mutex::new(pairs)))
+        let pairs = Instances::build(threads, || {
+            let primary = clone_of(&det, "primary")?;
+            let hardened = resil.as_ref().map(|r| clone_of(r, "hardened")).transpose()?;
+            Ok((primary, hardened))
+        })?;
+        Ok(DetWorker::Clones(pairs))
     }
 
     fn process(
@@ -323,13 +313,9 @@ impl<'t, D: Detector + ?Sized> CampaignTask for DetTask<'t, D> {
                 let mut resil = self.resil_detector.as_ref().map(lock);
                 process_one(&mut **det, resil.as_mut().map(|g| &mut ***g), ctx, scope, rec)
             }
-            DetWorker::Clones(free) => {
-                let (mut det, mut resil) =
-                    lock(free).pop().expect("one detector clone per running scope");
-                let out = process_one(&mut *det, resil.as_deref_mut(), ctx, scope, rec);
-                lock(free).push((det, resil));
-                out
-            }
+            DetWorker::Clones(pairs) => pairs.with(|(det, resil)| {
+                process_one(&mut **det, resil.as_deref_mut(), ctx, scope, rec)
+            }),
         }
     }
 

@@ -54,7 +54,7 @@ use alfi_tensor::gemm::{self, KernelPath};
 use alfi_trace::{EffectClass, Phase, Recorder, RunMeta};
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Read-only context handed to scope processing: the scenario, the
@@ -77,6 +77,63 @@ pub struct ScopeCtx<'r> {
 /// engine wants the stream to stop (exhausted fault matrix).
 pub type ScopeSink<'a, S> = dyn FnMut(bool, S) -> Result<ControlFlow<()>, CoreError> + 'a;
 
+/// Per-run model instances for a [`CampaignTask::Worker`]: one per
+/// scope that can run at once, built once per run. A scope takes a free
+/// instance, arms its faults on it in place and disarms them before
+/// [`with`](Self::with) puts it back, so no scope clones a model and
+/// every instance is pristine between scopes.
+pub struct Instances<T> {
+    free: Mutex<Vec<T>>,
+}
+
+impl<T> Instances<T> {
+    /// Builds `max(threads, 1)` instances with `make`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `make` returns.
+    pub fn build(
+        threads: usize,
+        make: impl FnMut() -> Result<T, CoreError>,
+    ) -> Result<Self, CoreError> {
+        let free = std::iter::repeat_with(make).take(threads.max(1)).collect::<Result<_, _>>()?;
+        Ok(Instances { free: Mutex::new(free) })
+    }
+
+    /// Runs `f` on a free instance and puts the instance back. `f` must
+    /// leave it as it found it, on its error paths too. An instance
+    /// whose scope panics is not put back: it may still be armed, and
+    /// the run ends with [`CoreError::WorkerPanic`] anyway.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more scopes run at once than instances were built.
+    pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        let mut instance = lock(&self.free).pop().expect("one instance per running scope");
+        let out = f(&mut instance);
+        lock(&self.free).push(instance);
+        out
+    }
+
+    /// The instances, for inspection once a run is over.
+    pub fn into_inner(self) -> Vec<T> {
+        self.free.into_inner().unwrap_or_else(|p| p.into_inner())
+    }
+}
+
+impl<T> std::fmt::Debug for Instances<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Instances").field("free", &lock(&self.free).len()).finish()
+    }
+}
+
+/// Locks a mutex, recovering the guard if a panicking scope poisoned
+/// it. What the engine and the adapters guard this way (instance
+/// stacks, borrowed detectors) is valid at every step.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// A campaign workload the [`Engine`] can drive.
 ///
 /// Implementations own the *what* (model forwards, fault arming, row
@@ -96,8 +153,9 @@ pub trait CampaignTask: Sync {
     /// Finalized campaign output.
     type Result;
     /// Per-run state that concurrently running scopes need besides the
-    /// task itself (detection: the detectors each running scope arms in
-    /// place). Built once per run by [`worker`](Self::worker).
+    /// task itself: typically the model [`Instances`] each running
+    /// scope arms in place. Built once per run by
+    /// [`worker`](Self::worker).
     type Worker: Sync;
 
     /// Campaign kind recorded in the trace header (`"classification"`,
@@ -387,7 +445,7 @@ impl EngineMetrics {
     }
 
     fn layer_counter(&self, layer: usize) -> Counter {
-        let mut layers = self.layers.lock().unwrap_or_else(|p| p.into_inner());
+        let mut layers = lock(&self.layers);
         layers
             .entry(layer)
             .or_insert_with(|| {

@@ -21,6 +21,6 @@ pub use classification::{
 };
 pub use config::RunConfig;
 pub use detection::{DetectionCampaignResult, DetectionRow, ObjDetCampaign};
-pub use engine::{CampaignTask, Engine, ScopeCtx, ScopeSink, SlotCursor};
+pub use engine::{CampaignTask, Engine, Instances, ScopeCtx, ScopeSink, SlotCursor};
 pub use report::{install_report_hook, report_hook_installed, ReportHook};
 pub use vit::VitCampaign;

@@ -17,10 +17,10 @@
 use crate::artifact::{ArtifactSink, Artifacts, ColumnarSink};
 use crate::campaign::classification::{
     store_schema, store_values, with_layer_override_meta, ClassificationCampaignResult,
-    ClassificationCsvSink, ClassificationRow, ClassificationScope, ImgClassCampaign,
+    ClassificationCsvSink, ClassificationRow, ClassificationScope, ImgClassCampaign, ModelPair,
 };
 use crate::campaign::config::RunConfig;
-use crate::campaign::engine::{CampaignTask, Engine, ScopeCtx, ScopeSink};
+use crate::campaign::engine::{CampaignTask, Engine, Instances, ScopeCtx, ScopeSink};
 use crate::error::CoreError;
 use crate::matrix::{FaultMatrix, LayerTarget};
 use crate::persist::{RunTrace, TraceEntry};
@@ -114,7 +114,7 @@ impl CampaignTask for VitCampaign {
     type Scope = ClassificationScope;
     type Row = ClassificationRow;
     type Result = ClassificationCampaignResult;
-    type Worker = ();
+    type Worker = Instances<ModelPair>;
 
     fn kind(&self) -> &'static str {
         "vit"
@@ -144,13 +144,13 @@ impl CampaignTask for VitCampaign {
         self.inner.stream_scopes(epoch, sink)
     }
 
-    fn worker(&self, threads: usize) -> Result<(), CoreError> {
+    fn worker(&self, threads: usize) -> Result<Instances<ModelPair>, CoreError> {
         self.inner.worker(threads)
     }
 
     fn process(
         &self,
-        worker: &(),
+        worker: &Instances<ModelPair>,
         ctx: &ScopeCtx<'_>,
         scope: &ClassificationScope,
         rec: &Recorder,

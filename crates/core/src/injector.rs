@@ -235,7 +235,9 @@ impl ArmedFaults {
 ///
 /// Returns [`CoreError::FaultOutOfBounds`] if a weight fault addresses
 /// coordinates outside its layer's weight tensor, or if a record's layer
-/// index is out of range for `targets`.
+/// index is out of range for `targets`. The faults armed before the
+/// failing one are disarmed again, so the networks are left as they
+/// were.
 pub fn arm_faults(
     networks: &mut [&mut Network],
     targets: &[LayerTarget],
@@ -243,6 +245,24 @@ pub fn arm_faults(
     target_kind: InjectionTarget,
 ) -> Result<ArmedFaults, CoreError> {
     let mut armed = ArmedFaults { weight_undo: Vec::new(), weight_log: Vec::new(), hooks: Vec::new() };
+    match arm_into(&mut armed, networks, targets, faults, target_kind) {
+        Ok(()) => Ok(armed),
+        Err(e) => {
+            armed.disarm(networks);
+            Err(e)
+        }
+    }
+}
+
+/// The body of [`arm_faults`]: arms `faults` one by one, recording each
+/// in `armed` as soon as it is applied.
+fn arm_into(
+    armed: &mut ArmedFaults,
+    networks: &mut [&mut Network],
+    targets: &[LayerTarget],
+    faults: &[FaultRecord],
+    target_kind: InjectionTarget,
+) -> Result<(), CoreError> {
     match target_kind {
         InjectionTarget::Weights => {
             for record in faults {
@@ -282,7 +302,7 @@ pub fn arm_faults(
             }
         }
     }
-    Ok(armed)
+    Ok(())
 }
 
 /// A faulty model instance produced by the iterator: a clone of the
@@ -772,6 +792,32 @@ mod tests {
             let ab: Vec<u32> = a.iter().map(|x| x.to_bits()).collect();
             let bb: Vec<u32> = b.iter().map(|x| x.to_bits()).collect();
             assert_eq!(ab, bb);
+        }
+    }
+
+    #[test]
+    fn failed_arming_leaves_the_network_untouched() {
+        let mut model = alexnet(&model_cfg());
+        let weights = |net: &Network| -> Vec<Vec<u32>> {
+            net.nodes()
+                .iter()
+                .filter_map(|n| n.layer.weight().map(|w| w.data().iter().map(|v| v.to_bits()).collect()))
+                .collect()
+        };
+        let before = weights(&model);
+        for target in [InjectionTarget::Weights, InjectionTarget::Neurons] {
+            let mut s = scenario();
+            s.injection_target = target;
+            s.dataset_size = 1;
+            s.faults_per_image = FaultCount::Fixed(3);
+            let targets =
+                resolve_targets(&[&model], &s, &[Some(model_cfg().input_dims(1))]).unwrap();
+            let mut records = FaultMatrix::generate(&s, &targets).unwrap().records;
+            records[2].layer = targets.len(); // the last fault names no layer
+            let err = arm_faults(&mut [&mut model], &targets, &records, target).unwrap_err();
+            assert!(matches!(err, CoreError::FaultOutOfBounds { .. }));
+            assert_eq!(weights(&model), before, "{target:?} faults rolled back");
+            assert_eq!(model.num_hooks(), 0, "{target:?} hooks removed");
         }
     }
 

@@ -6,6 +6,12 @@
 //! PyTorchFI uses for neuron fault injection ("the output values are
 //! modified in place", §II). Weight faults bypass hooks and mutate layer
 //! parameters directly via [`Network::layer_mut`].
+//!
+//! A fault changes nothing upstream of the node it hits, so a faulty
+//! pass need not start at node 0: [`Network::forward_activations`]
+//! keeps the golden pass's node outputs, and
+//! [`Network::forward_resume`] evaluates a faulty clone from the first
+//! faulted node onwards, reading every earlier value from them.
 
 use crate::error::NnError;
 use crate::layer::{Layer, LayerKind};
@@ -107,6 +113,27 @@ pub struct InjectableLayer {
     /// Shape of the layer output for the reference input shape, if shape
     /// inference has been run (batch dimension included).
     pub output_shape: Option<Shape>,
+}
+
+/// Node outputs kept by [`Network::forward_activations`]: every node up
+/// to the output node (later nodes are never evaluated). A faulty clone
+/// of the network resumes from them with [`Network::forward_resume`].
+#[derive(Debug, Clone)]
+pub struct Activations {
+    nodes: Vec<Option<Tensor>>,
+    output: NodeId,
+}
+
+impl Activations {
+    /// The output node's activation: the network's result.
+    pub fn output(&self) -> &Tensor {
+        self.nodes[self.output].as_ref().expect("the output node is always evaluated")
+    }
+
+    /// The activation of node `id`; `None` after the output node.
+    pub fn node(&self, id: NodeId) -> Option<&Tensor> {
+        self.nodes.get(id).and_then(Option::as_ref)
+    }
 }
 
 /// A feed-forward network: a topologically ordered DAG of layers with a
@@ -463,18 +490,40 @@ impl Network {
         input: &Tensor,
         recorder: Option<&alfi_trace::Recorder>,
     ) -> Result<Tensor, NnError> {
-        let out = self.output.ok_or_else(|| {
+        let out = self.output_id()?;
+        take_last(self.eval_range(input, &[], out, recorder)?)
+    }
+
+    /// The designated output node, or an error naming the network.
+    fn output_id(&self) -> Result<NodeId, NnError> {
+        self.output.ok_or_else(|| {
             NnError::InvalidGraph(format!("network `{}` has no output node", self.name))
-        })?;
-        let mut acts: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        for (id, node) in self.nodes.iter().enumerate() {
+        })
+    }
+
+    /// Evaluates nodes `prefix.len()..=last` in topological order and
+    /// returns their outputs, indexed by `id - prefix.len()`. Inputs of
+    /// nodes before `prefix.len()` are read from `prefix`, so a pass can
+    /// start mid-graph from activations kept by an earlier one. Hooks
+    /// run after each node and may mutate its output.
+    fn eval_range(
+        &self,
+        input: &Tensor,
+        prefix: &[Option<Tensor>],
+        last: NodeId,
+        recorder: Option<&alfi_trace::Recorder>,
+    ) -> Result<Vec<Option<Tensor>>, NnError> {
+        let from = prefix.len();
+        let mut acts: Vec<Option<Tensor>> = vec![None; (last + 1).saturating_sub(from)];
+        for (id, node) in self.nodes.iter().enumerate().take(last + 1).skip(from) {
             let inputs: Vec<&Tensor> = if node.inputs.is_empty() {
                 vec![input]
             } else {
                 node.inputs
                     .iter()
                     .map(|&i| {
-                        acts[i].as_ref().ok_or_else(|| {
+                        let act = if i < from { &prefix[i] } else { &acts[i - from] };
+                        act.as_ref().ok_or_else(|| {
                             NnError::InvalidGraph(format!("node {i} evaluated out of order"))
                         })
                     })
@@ -492,16 +541,71 @@ impl Network {
                     hook.on_output(&ctx, &mut out_t);
                 }
             }
-            acts[id] = Some(out_t);
-            // Early exit once the output node is computed and nothing
-            // after it is needed (nodes are topologically ordered).
-            if id == out {
-                break;
-            }
+            acts[id - from] = Some(out_t);
         }
-        acts[out]
-            .take()
-            .ok_or_else(|| NnError::InvalidGraph("output node was not evaluated".into()))
+        Ok(acts)
+    }
+
+    /// Runs a forward pass like [`Network::forward_traced`] and keeps
+    /// the output of every node up to the output node, so that a faulty
+    /// copy of this network can [resume](Network::forward_resume) from
+    /// them. A plain forward holds the same tensors until it returns.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Network::forward`].
+    pub fn forward_activations(
+        &self,
+        input: &Tensor,
+        recorder: &alfi_trace::Recorder,
+    ) -> Result<Activations, NnError> {
+        let output = self.output_id()?;
+        let rec = recorder.is_enabled().then_some(recorder);
+        let mut nodes = self.eval_range(input, &[], output, rec)?;
+        nodes.resize(self.nodes.len(), None);
+        Ok(Activations { nodes, output })
+    }
+
+    /// Runs a forward pass that evaluates only the nodes
+    /// `from..=output`. Every input produced by a node before `from`
+    /// is read from `golden`, so residual edges that reach back past
+    /// `from` see the golden values. Hooks fire only on the evaluated
+    /// nodes; a `from` past the output node returns the golden output.
+    ///
+    /// The result equals [`Network::forward`] bit for bit whenever this
+    /// network computes the golden values at every node before `from`:
+    /// same weights and fused ops there, and no hook that changes them.
+    /// A fault campaign gets that by arming faults only at or after
+    /// `from` on a clone of the model that produced `golden`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidGraph`] if `golden` was kept from a
+    /// graph with a different node count or output node, and any layer
+    /// error met during evaluation.
+    pub fn forward_resume(
+        &self,
+        input: &Tensor,
+        golden: &Activations,
+        from: NodeId,
+        recorder: &alfi_trace::Recorder,
+    ) -> Result<Tensor, NnError> {
+        let output = self.output_id()?;
+        if golden.nodes.len() != self.nodes.len() || golden.output != output {
+            return Err(NnError::InvalidGraph(format!(
+                "activations of a {}-node graph with output {} cannot resume `{}` \
+                 ({} nodes, output {output})",
+                golden.nodes.len(),
+                golden.output,
+                self.name,
+                self.nodes.len()
+            )));
+        }
+        if from > output {
+            return Ok(golden.output().clone());
+        }
+        let rec = recorder.is_enabled().then_some(recorder);
+        take_last(self.eval_range(input, &golden.nodes[..from], output, rec)?)
     }
 
     /// Runs a forward pass and returns the activations of **all** nodes.
@@ -511,31 +615,12 @@ impl Network {
     ///
     /// Same conditions as [`Network::forward`].
     pub fn forward_all(&self, input: &Tensor) -> Result<Vec<Tensor>, NnError> {
-        let mut acts: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        for (id, node) in self.nodes.iter().enumerate() {
-            let inputs: Vec<&Tensor> = if node.inputs.is_empty() {
-                vec![input]
-            } else {
-                node.inputs
-                    .iter()
-                    .map(|&i| {
-                        acts[i].as_ref().ok_or_else(|| {
-                            NnError::InvalidGraph(format!("node {i} evaluated out of order"))
-                        })
-                    })
-                    .collect::<Result<_, _>>()?
-            };
-            let mut out_t = self.eval_node(id, &inputs)?;
-            if !self.hooks[id].is_empty() {
-                let ctx =
-                    LayerCtx { node_id: id, name: node.name.clone(), kind: node.layer.kind() };
-                for (_, hook) in &self.hooks[id] {
-                    hook.on_output(&ctx, &mut out_t);
-                }
-            }
-            acts[id] = Some(out_t);
-        }
-        Ok(acts.into_iter().map(|t| t.expect("all nodes evaluated")).collect())
+        let Some(last) = self.nodes.len().checked_sub(1) else { return Ok(Vec::new()) };
+        Ok(self
+            .eval_range(input, &[], last, None)?
+            .into_iter()
+            .map(|t| t.expect("all nodes evaluated"))
+            .collect())
     }
 
     /// Infers the output shape of every node for the given input shape by
@@ -653,6 +738,14 @@ impl Network {
             .map(|w| w.num_elements())
             .sum()
     }
+}
+
+/// The output node's tensor: the last entry [`Network::eval_range`]
+/// produced.
+fn take_last(mut acts: Vec<Option<Tensor>>) -> Result<Tensor, NnError> {
+    acts.pop()
+        .flatten()
+        .ok_or_else(|| NnError::InvalidGraph("output node was not evaluated".into()))
 }
 
 /// Separate-pass application of [`FusedOps`] for layer kinds without a

@@ -43,6 +43,7 @@ pub mod weights;
 
 pub use error::NnError;
 pub use graph::{
-    ForwardHook, FusedOps, HookHandle, InjectableLayer, LayerCtx, Network, Node, NodeId,
+    Activations, ForwardHook, FusedOps, HookHandle, InjectableLayer, LayerCtx, Network, Node,
+    NodeId,
 };
 pub use layer::{BatchNorm2d, Conv2d, Conv3d, CustomLayer, Layer, LayerKind, Linear, RestrictMode};
