@@ -8,6 +8,14 @@
 //! The campaign is a thin [`CampaignTask`] adapter: policy iteration,
 //! fault-slot assignment, replay validation, tracing, pool fan-out and
 //! persistence all live in the shared campaign [`Engine`].
+//!
+//! Each scope evaluates only what its faults change. The fault-free
+//! pass keeps its node activations. The faulty pass runs on a clone
+//! built once per run ([`Instances`]), armed and disarmed in place, and
+//! resumes from those activations at the first faulted node
+//! ([`Network::forward_resume`]); the NaN/Inf counts of the skipped
+//! nodes come from the golden activations. The hardened pass runs its
+//! whole graph, since its prefix is not the golden one.
 
 use crate::artifact::{ArtifactSink, Artifacts, ColumnarSink, SinkStats};
 use crate::campaign::config::RunConfig;
@@ -1180,13 +1188,13 @@ mod tests {
                 .map(|w| w.data().iter().map(|v| v.to_bits()).collect())
                 .collect()
         };
-        let pairs = instances.into_inner();
-        assert_eq!(pairs.len(), 2);
-        for (faulty, hardened) in &pairs {
+        let check = |(faulty, hardened): &mut ModelPair| {
             assert_eq!(weight_bits(faulty), weight_bits(&model));
             assert_eq!(weight_bits(hardened.as_ref().unwrap()), weight_bits(&model));
             assert_eq!(faulty.num_hooks(), 0, "monitor hooks are removed");
-        }
+        };
+        // Nested, so the two calls take both instances.
+        instances.with(|a| instances.with(|b| [a, b].into_iter().for_each(check)));
     }
 
     #[test]

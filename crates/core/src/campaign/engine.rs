@@ -114,17 +114,6 @@ impl<T> Instances<T> {
         lock(&self.free).push(instance);
         out
     }
-
-    /// The instances, for inspection once a run is over.
-    pub fn into_inner(self) -> Vec<T> {
-        self.free.into_inner().unwrap_or_else(|p| p.into_inner())
-    }
-}
-
-impl<T> std::fmt::Debug for Instances<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Instances").field("free", &lock(&self.free).len()).finish()
-    }
 }
 
 /// Locks a mutex, recovering the guard if a panicking scope poisoned
