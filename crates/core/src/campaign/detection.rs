@@ -458,56 +458,27 @@ fn process_one<D: Detector + ?Sized>(
         det.detect(image)?.remove(0)
     };
 
-    // Arm faults + monitors in place, detect, disarm.
+    // Arm faults + monitors in place, detect, disarm: on every path,
+    // so the detector is handed back pristine.
     let monitor = Arc::new(NanInfMonitor::new());
-    let (applied, totals, corr) = {
-        let mut nets = det.networks_mut();
-        let mut monitor_handles = Vec::new();
-        for net in nets.iter_mut() {
-            monitor_handles.push(attach_monitor(
-                net,
-                Arc::<NanInfMonitor>::clone(&monitor) as _,
-            )?);
+    let mut monitor_handles = Vec::new();
+    for net in det.networks_mut() {
+        monitor_handles.push(attach_monitor(net, Arc::<NanInfMonitor>::clone(&monitor) as _)?);
+    }
+    let faulty = armed_detect(det, ctx.targets, ctx, image, rec);
+    for (net, handles) in det.networks_mut().into_iter().zip(monitor_handles) {
+        for h in handles {
+            net.remove_hook(h);
         }
-        let armed = {
-            let _span = rec.span_on(Phase::Inject, worker);
-            arm_faults(&mut nets, ctx.targets, ctx.faults, ctx.scenario.injection_target)?
-        };
-        drop(nets);
-        let corr = {
-            let _span = rec.span_on(Phase::Forward, worker);
-            det.detect(image)?.remove(0)
-        };
-        let applied = armed.collect_applied();
-        let totals = monitor.totals();
-        let mut nets = det.networks_mut();
-        armed.disarm(&mut nets);
-        for (net, handles) in nets.iter_mut().zip(monitor_handles) {
-            for h in handles {
-                net.remove_hook(h);
-            }
-        }
-        (applied, totals, corr)
-    };
+    }
+    let (corr, applied) = faulty?;
+    let totals = monitor.totals();
     monitor.report_to(rec);
 
     // Hardened pass under identical faults, detector returned pristine
     // like the primary one.
     let resil_out = match (resil, ctx.resil_targets) {
-        (Some(rdet), Some(rt)) => {
-            let armed_r = {
-                let _span = rec.span_on(Phase::Inject, worker);
-                let mut nets = rdet.networks_mut();
-                arm_faults(&mut nets, rt, ctx.faults, ctx.scenario.injection_target)?
-            };
-            let out = {
-                let _span = rec.span_on(Phase::Forward, worker);
-                rdet.detect(image)?.remove(0)
-            };
-            let mut nets = rdet.networks_mut();
-            armed_r.disarm(&mut nets);
-            Some(out)
-        }
+        (Some(rdet), Some(rt)) => Some(armed_detect(rdet, rt, ctx, image, rec)?.0),
         _ => None,
     };
 
@@ -547,6 +518,30 @@ fn classify_detection_row(row: &DetectionRow) -> EffectClass {
     }
 }
 
+/// Arms the scope's faults on `det` in place, detects and disarms them
+/// bit-exactly again, on the error path too. Returns the detections and
+/// the faults applied during the pass.
+fn armed_detect<D: Detector + ?Sized>(
+    det: &mut D,
+    targets: &[LayerTarget],
+    ctx: &ScopeCtx<'_>,
+    image: &Tensor,
+    rec: &Recorder,
+) -> Result<(Vec<Detection>, Vec<AppliedFault>), CoreError> {
+    let worker = alfi_pool::worker_index();
+    let armed = {
+        let _span = rec.span_on(Phase::Inject, worker);
+        arm_faults(&mut det.networks_mut(), targets, ctx.faults, ctx.scenario.injection_target)?
+    };
+    let out = {
+        let _span = rec.span_on(Phase::Forward, worker);
+        det.detect(image)
+    };
+    let applied = armed.collect_applied();
+    armed.disarm(&mut det.networks_mut());
+    Ok((out?.remove(0), applied))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,6 +575,36 @@ mod tests {
             assert!(row.resil.is_none());
         }
         assert_eq!(result.trace.entries.len(), 4);
+    }
+
+    #[test]
+    fn a_failing_faulty_pass_leaves_the_detector_pristine() {
+        let dcfg = DetectorConfig { input_hw: 32, width_mult: 0.125, ..DetectorConfig::default() };
+        let mut det = YoloGrid::new(&dcfg);
+        let probe = Tensor::ones(&[1, 3, 32, 32]);
+        let before = det.detect(&probe).unwrap();
+        for target in [InjectionTarget::Weights, InjectionTarget::Neurons] {
+            let mut s = Scenario::default();
+            s.dataset_size = 1;
+            s.injection_target = target;
+            s.fault_mode = FaultMode::exponent_bit_flip();
+            let dims = vec![Some(vec![1, 3, 32, 32]); det.networks().len()];
+            let targets = crate::matrix::resolve_targets(&det.networks(), &s, &dims).unwrap();
+            let matrix = FaultMatrix::generate(&s, &targets).unwrap();
+            let ctx = ScopeCtx {
+                scenario: &s,
+                targets: &targets,
+                resil_targets: None,
+                faults: matrix.faults_for_slot(0),
+            };
+            // Two channels instead of three: the detect pass fails after
+            // the faults are armed.
+            let bad = Tensor::ones(&[1, 2, 32, 32]);
+            let rec = Recorder::disabled();
+            assert!(armed_detect(&mut det, &targets, &ctx, &bad, &rec).is_err());
+            assert_eq!(det.detect(&probe).unwrap(), before, "{target:?} faults disarmed");
+            assert_eq!(det.networks()[0].num_hooks(), 0);
+        }
     }
 
     #[test]
