@@ -406,7 +406,8 @@ impl CampaignTask for ImgClassCampaign {
         let (corr_logits, applied, totals, resil_logits) =
             instances.with(|(corrupted, hardened)| -> Result<_, CoreError> {
                 let monitor = Arc::new(NanInfMonitor::new());
-                let handles = attach_monitor(corrupted, Arc::<NanInfMonitor>::clone(&monitor) as _)?;
+                let handles =
+                    attach_monitor(corrupted, Arc::<NanInfMonitor>::clone(&monitor) as _)?;
                 let faulty = armed_forward(corrupted, ctx.targets, ctx, rec, |net| match from {
                     Some(from) => net.forward_resume(images, &golden, from, rec),
                     None => net.forward_traced(images, rec),
@@ -424,7 +425,8 @@ impl CampaignTask for ImgClassCampaign {
                 }
                 let resil_logits = match (hardened.as_mut(), ctx.resil_targets) {
                     (Some(h), Some(rt)) => {
-                        Some(armed_forward(h, rt, ctx, rec, |net| net.forward_traced(images, rec))?.0)
+                        let full = |net: &Network| net.forward_traced(images, rec);
+                        Some(armed_forward(h, rt, ctx, rec, full)?.0)
                     }
                     _ => None,
                 };
@@ -1074,8 +1076,8 @@ mod tests {
             let monitor = Arc::new(NanInfMonitor::new());
             attach_monitor(&mut clone, Arc::<NanInfMonitor>::clone(&monitor) as _).unwrap();
             let records: Vec<_> = row.faults.iter().map(|a| a.record).collect();
-            let _armed =
-                arm_faults(&mut [&mut clone], &targets, &records, scenario.injection_target).unwrap();
+            let target = scenario.injection_target;
+            let _armed = arm_faults(&mut [&mut clone], &targets, &records, target).unwrap();
             let image = Tensor::stack(&[ds.get(row.image_id as usize).image]).unwrap();
             let expect = softmax_topk_rows(&clone.forward(&image).unwrap(), 1, 5).unwrap();
             let t = monitor.totals();
@@ -1121,15 +1123,8 @@ mod tests {
         let mut model = dense_net(9, 1.0);
         let loader = ClassificationLoader::new(dense_dataset(8), 1);
         let mut c = ImgClassCampaign::new(model.clone(), s.clone(), loader);
-        attach_monitor(
-            &mut c.model,
-            Arc::new(|ctx: &alfi_nn::LayerCtx, t: &mut Tensor| {
-                if ctx.node_id == 1 {
-                    t.map_inplace(|v| v * -3.0 + 1.0);
-                }
-            }),
-        )
-        .unwrap();
+        let hook = |_: &alfi_nn::LayerCtx, t: &mut Tensor| t.map_inplace(|v| v * -3.0 + 1.0);
+        c.model.register_hook(1, Arc::new(hook)).unwrap();
         let result = c.run_with(&RunConfig::default()).unwrap();
         assert_rows_match_full_forward(&model, &s, &dense_dataset(8), &result.rows);
         // The hooked golden model reports different clean outputs, so
@@ -1153,7 +1148,8 @@ mod tests {
         s.faults_per_image = FaultCount::Fixed(2);
         let model = dense_net(13, 1.0);
         let loader = ClassificationLoader::new(dense_dataset(300), 1);
-        let c = ImgClassCampaign::new(model.clone(), s.clone(), loader).with_resil_model(model.clone());
+        let c = ImgClassCampaign::new(model.clone(), s.clone(), loader)
+            .with_resil_model(model.clone());
         let (targets, resil_targets) = c.resolve_targets().unwrap();
         let matrix = FaultMatrix::generate(&s, &targets).unwrap();
         let mut scopes = Vec::new();
@@ -1178,7 +1174,8 @@ mod tests {
                 c.process(&instances, &ctx, &scopes[i], &rec).unwrap()
             })
             .unwrap();
-        let applied: Vec<AppliedFault> = outs.into_iter().flat_map(|(rows, _)| rows[0].faults.clone()).collect();
+        let applied: Vec<AppliedFault> =
+            outs.into_iter().flat_map(|(rows, _)| rows[0].faults.clone()).collect();
         assert_eq!(applied.len(), 600);
         assert!(applied.iter().any(|a| a.corrupted.is_nan()), "some flips produce NaN");
         let weight_bits = |net: &Network| -> Vec<Vec<u32>> {

@@ -801,7 +801,8 @@ mod tests {
         let weights = |net: &Network| -> Vec<Vec<u32>> {
             net.nodes()
                 .iter()
-                .filter_map(|n| n.layer.weight().map(|w| w.data().iter().map(|v| v.to_bits()).collect()))
+                .filter_map(|n| n.layer.weight())
+                .map(|w| w.data().iter().map(|v| v.to_bits()).collect())
                 .collect()
         };
         let before = weights(&model);

@@ -13,13 +13,24 @@ fn bits(t: &Tensor) -> Vec<u32> {
 }
 
 fn cfg(input_hw: usize) -> ModelConfig {
-    ModelConfig { input_hw, width_mult: 0.0625, seed: 3, ..ModelConfig::default() }
+    ModelConfig {
+        input_hw,
+        width_mult: 0.0625,
+        seed: 3,
+        ..ModelConfig::default()
+    }
 }
 
 fn input(cfg: &ModelConfig) -> Tensor {
     let dims = cfg.input_dims(1);
     let n: usize = dims.iter().product();
-    Tensor::from_vec((0..n).map(|i| ((i * 37 % 101) as f32 - 50.0) / 25.0).collect(), &dims).unwrap()
+    Tensor::from_vec(
+        (0..n)
+            .map(|i| ((i * 37 % 101) as f32 - 50.0) / 25.0)
+            .collect(),
+        &dims,
+    )
+    .unwrap()
 }
 
 /// For every resume point of `net`: resuming equals the full forward,
@@ -29,11 +40,21 @@ fn assert_resume_is_exact(net: &Network, x: &Tensor) {
     let off = Recorder::disabled();
     let golden = net.forward_activations(x, &off).unwrap();
     let full = net.forward(x).unwrap();
-    assert_eq!(bits(golden.output()), bits(&full), "{}: kept output", net.name());
+    assert_eq!(
+        bits(golden.output()),
+        bits(&full),
+        "{}: kept output",
+        net.name()
+    );
     let out = net.output_node().unwrap();
     for from in 0..=out {
         let resumed = net.forward_resume(x, &golden, from, &off).unwrap();
-        assert_eq!(bits(&resumed), bits(&full), "{}: resume from node {from}", net.name());
+        assert_eq!(
+            bits(&resumed),
+            bits(&full),
+            "{}: resume from node {from}",
+            net.name()
+        );
 
         let mut faulty = net.clone();
         let hook = |_: &LayerCtx, t: &mut Tensor| {

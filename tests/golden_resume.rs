@@ -31,14 +31,20 @@ use alfi::core::Artifacts;
 use alfi::datasets::{ClassificationDataset, ClassificationLoader};
 use alfi::mitigation::{harden, profile_bounds, Protection};
 use alfi::nn::models::{alexnet, resnet50, vgg16, ModelConfig};
-use alfi::scenario::{ArtifactFormat, FaultCount, FaultMode, InjectionPolicy, InjectionTarget, Scenario};
+use alfi::scenario::{
+    ArtifactFormat, FaultCount, FaultMode, InjectionPolicy, InjectionTarget, Scenario,
+};
 use alfi::tensor::Tensor;
 use alfi::trace::Recorder;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 fn golden_dir(campaign: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("golden").join("resume").join(campaign)
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join("resume")
+        .join(campaign)
 }
 
 fn regen() -> bool {
@@ -84,18 +90,31 @@ fn assert_golden(campaign: &str, name: &str, actual: &[u8], context: &str, bless
 fn normalize_threads(log: &[u8]) -> Vec<u8> {
     let log = String::from_utf8(log.to_vec()).unwrap();
     let (header, rest) = log.split_once('\n').expect("header line");
-    let start = header.find("\"threads\":").expect("header records the thread count") + 10;
-    let end = header[start..].find(|c: char| !c.is_ascii_digit()).map_or(header.len(), |e| start + e);
+    let start = header
+        .find("\"threads\":")
+        .expect("header records the thread count")
+        + 10;
+    let end = header[start..]
+        .find(|c: char| !c.is_ascii_digit())
+        .map_or(header.len(), |e| start + e);
     format!("{}1{}\n{rest}", &header[..start], &header[end..]).into_bytes()
 }
 
 fn mcfg() -> ModelConfig {
-    ModelConfig { input_hw: 16, width_mult: 0.0625, seed: 7, ..ModelConfig::default() }
+    ModelConfig {
+        input_hw: 16,
+        width_mult: 0.0625,
+        seed: 7,
+        ..ModelConfig::default()
+    }
 }
 
 /// vgg16 pools five times, so it needs 32-pixel inputs.
 fn vgg_cfg() -> ModelConfig {
-    ModelConfig { input_hw: 32, ..mcfg() }
+    ModelConfig {
+        input_hw: 32,
+        ..mcfg()
+    }
 }
 
 fn dataset(n: usize, cfg: &ModelConfig) -> ClassificationDataset {
@@ -110,8 +129,13 @@ fn scenario(n: usize, target: InjectionTarget, seed: u64) -> Scenario {
     s.dataset_size = n;
     s.injection_target = target;
     s.fault_mode = match target {
-        InjectionTarget::Weights => FaultMode::BitFlip { bit_range: (29, 30) },
-        _ => FaultMode::RandomValue { min: -3.0e38, max: 3.0e38 },
+        InjectionTarget::Weights => FaultMode::BitFlip {
+            bit_range: (29, 30),
+        },
+        _ => FaultMode::RandomValue {
+            min: -3.0e38,
+            max: 3.0e38,
+        },
     };
     s.seed = seed;
     s
@@ -136,21 +160,30 @@ impl Campaign {
 fn resnet_neurons() -> Campaign {
     let model = resnet50(&mcfg());
     let ds = dataset(8, &mcfg());
-    let calib: Vec<Tensor> = (0..3).map(|i| Tensor::stack(&[ds.get(i).image]).unwrap()).collect();
+    let calib: Vec<Tensor> = (0..3)
+        .map(|i| Tensor::stack(&[ds.get(i).image]).unwrap())
+        .collect();
     let bounds = profile_bounds(&model, calib.iter()).unwrap();
     let hardened = harden(&model, &bounds, Protection::Ranger, 0.1).unwrap();
     let mut s = scenario(8, InjectionTarget::Neurons, 0x4E5);
     s.faults_per_image = FaultCount::Fixed(2);
     // Two ±3e38 faults per scope overflow every resnet scope; ±1e38
     // leaves a mix of masked, SDC and DUE rows.
-    s.fault_mode = FaultMode::RandomValue { min: -1.0e38, max: 1.0e38 };
+    s.fault_mode = FaultMode::RandomValue {
+        min: -1.0e38,
+        max: 1.0e38,
+    };
     let loader = ClassificationLoader::new(ds, 2);
     Campaign::Class(ImgClassCampaign::new(model, s, loader).with_resil_model(hardened))
 }
 
 fn vit_neurons() -> Campaign {
     let loader = ClassificationLoader::new(dataset(8, &mcfg()), 2);
-    Campaign::Vit(VitCampaign::tiny(&mcfg(), scenario(8, InjectionTarget::Neurons, 0x717E), loader))
+    Campaign::Vit(VitCampaign::tiny(
+        &mcfg(),
+        scenario(8, InjectionTarget::Neurons, 0x717E),
+        loader,
+    ))
 }
 
 fn vgg16_weights_x2() -> Campaign {
@@ -170,15 +203,31 @@ fn alexnet_per_batch() -> Campaign {
 
 /// Runs a fresh campaign traced into a temp dir and returns its row
 /// artifacts and event log as `name -> bytes`.
-fn run(make: fn() -> Campaign, format: ArtifactFormat, threads: usize, tag: &str) -> BTreeMap<String, Vec<u8>> {
+fn run(
+    make: fn() -> Campaign,
+    format: ArtifactFormat,
+    threads: usize,
+    tag: &str,
+) -> BTreeMap<String, Vec<u8>> {
     let dir = std::env::temp_dir().join(format!("alfi_it_golden_resume_{tag}_{threads}"));
     let _ = std::fs::remove_dir_all(&dir);
     let rec = Recorder::new();
-    make().run(&RunConfig::new().threads(threads).save_dir(&dir).format(format).recorder(rec));
+    make().run(
+        &RunConfig::new()
+            .threads(threads)
+            .save_dir(&dir)
+            .format(format)
+            .recorder(rec),
+    );
     let a = Artifacts::new(&dir);
     let mut out = BTreeMap::new();
-    for path in [a.rows_orig(), a.rows_corr(), a.rows_resil(), a.rows_store(), dir.join("events.jsonl")]
-    {
+    for path in [
+        a.rows_orig(),
+        a.rows_corr(),
+        a.rows_resil(),
+        a.rows_store(),
+        dir.join("events.jsonl"),
+    ] {
         if path.is_file() {
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
             out.insert(name, std::fs::read(&path).unwrap());
@@ -194,13 +243,28 @@ fn check(name: &str, make: fn() -> Campaign, threads: &[usize], expect_resil: bo
     for &t in threads {
         let context = format!("{t}-thread run");
         let csv = run(make, ArtifactFormat::Csv, t, &format!("{name}_csv"));
-        assert_eq!(csv.contains_key("results_resil.csv"), expect_resil, "{name}: {:?}", csv.keys());
+        assert_eq!(
+            csv.contains_key("results_resil.csv"),
+            expect_resil,
+            "{name}: {:?}",
+            csv.keys()
+        );
         for (file, bytes) in &csv {
-            let bytes = if file == "events.jsonl" { normalize_threads(bytes) } else { bytes.clone() };
+            let bytes = if file == "events.jsonl" {
+                normalize_threads(bytes)
+            } else {
+                bytes.clone()
+            };
             assert_golden(name, file, &bytes, &context, t == threads[0]);
         }
         let bin = run(make, ArtifactFormat::Binary, t, &format!("{name}_bin"));
-        assert_golden(name, "rows.alfic", &bin["rows.alfic"], &context, t == threads[0]);
+        assert_golden(
+            name,
+            "rows.alfic",
+            &bin["rows.alfic"],
+            &context,
+            t == threads[0],
+        );
         assert_eq!(
             normalize_threads(&bin["events.jsonl"]),
             normalize_threads(&csv["events.jsonl"]),
