@@ -19,10 +19,9 @@
 
 use crate::artifact::{ArtifactSink, Artifacts, ColumnarSink, SinkStats};
 use crate::campaign::config::RunConfig;
-use crate::campaign::engine::{CampaignTask, Engine, Instances, ScopeCtx, ScopeSink};
+use crate::campaign::engine::{armed_pass, CampaignTask, Engine, Instances, ScopeCtx, ScopeSink};
 use crate::error::CoreError;
 use crate::fault::AppliedFault;
-use crate::injector::arm_faults;
 use crate::matrix::{FaultMatrix, LayerTarget};
 use crate::monitor::{attach_monitor, NanInfMonitor};
 use crate::persist::{save_fault_matrix, RunTrace, TraceEntry};
@@ -281,18 +280,19 @@ pub type ModelPair = (Network, Option<Network>);
 impl ImgClassCampaign {
     /// The first node the scope's faults can change: the faulty pass
     /// starts there and reads every earlier value from the golden
-    /// activations. `None` makes the faulty pass run the whole graph:
-    /// when the golden model carries hooks (its clones do not, so its
-    /// activations are not theirs), or when a fault names an unknown
-    /// layer (arming reports that). Weight and neuron faults alike
-    /// change only their own node and what follows it.
-    fn resume_node(&self, ctx: &ScopeCtx<'_>) -> Option<NodeId> {
+    /// activations. It is 0, the whole graph, when the golden model
+    /// carries hooks (its clones do not, so its activations are not
+    /// theirs) or when a fault names an unknown layer (arming reports
+    /// that). Weight and neuron faults alike change only their own node
+    /// and what follows it.
+    fn resume_node(&self, ctx: &ScopeCtx<'_>) -> NodeId {
         if self.model.num_hooks() > 0 {
-            return None;
+            return 0;
         }
         ctx.faults
             .iter()
             .try_fold(NodeId::MAX, |from, f| ctx.targets.get(f.layer).map(|t| from.min(t.node_id)))
+            .unwrap_or(0)
     }
 }
 
@@ -397,20 +397,22 @@ impl CampaignTask for ImgClassCampaign {
         let worker = alfi_pool::worker_index();
         let images = &scope.images;
         let n = scope.records.len();
-        let golden = {
+        let mut golden = {
             let _span = rec.span_on(Phase::Forward, worker);
             self.model.forward_activations(images, rec)?
         };
         let from = self.resume_node(ctx);
+        // Keep only what the faulty pass reads: the scope then holds
+        // about as many activations as a full faulty forward would.
+        golden.retain_prefix(from);
 
-        let (corr_logits, applied, totals, resil_logits) =
+        let (orig_logits, corr_logits, applied, totals, resil_logits) =
             instances.with(|(corrupted, hardened)| -> Result<_, CoreError> {
                 let monitor = Arc::new(NanInfMonitor::new());
                 let handles =
                     attach_monitor(corrupted, Arc::<NanInfMonitor>::clone(&monitor) as _)?;
-                let faulty = armed_forward(corrupted, ctx.targets, ctx, rec, |net| match from {
-                    Some(from) => net.forward_resume(images, &golden, from, rec),
-                    None => net.forward_traced(images, rec),
+                let faulty = armed_pass(corrupted, one_network, ctx.targets, ctx, rec, |net| {
+                    net.forward_resume(images, &golden, from, rec)
                 });
                 for h in handles {
                     corrupted.remove_hook(h);
@@ -419,18 +421,19 @@ impl CampaignTask for ImgClassCampaign {
                 let mut totals = monitor.totals();
                 // The skipped prefix computed exactly the golden values:
                 // count its non-finite elements there.
-                for act in (0..from.unwrap_or(0)).map_while(|id| golden.node(id)) {
+                for act in (0..from).map_while(|id| golden.node(id)) {
                     totals.nan += act.count_nan();
                     totals.inf += act.count_inf();
                 }
+                let orig_logits = golden.into_output();
                 let resil_logits = match (hardened.as_mut(), ctx.resil_targets) {
                     (Some(h), Some(rt)) => {
                         let full = |net: &Network| net.forward_traced(images, rec);
-                        Some(armed_forward(h, rt, ctx, rec, full)?.0)
+                        Some(armed_pass(h, one_network, rt, ctx, rec, full)?.0)
                     }
                     _ => None,
                 };
-                Ok((corr_logits, applied, totals, resil_logits))
+                Ok((orig_logits, corr_logits, applied, totals, resil_logits))
             })?;
         rec.record_nonfinite(totals.nan as u64, totals.inf as u64);
 
@@ -448,7 +451,7 @@ impl CampaignTask for ImgClassCampaign {
                 output_inf_count: totals.inf as u32,
             });
         }
-        let orig_top5 = softmax_topk_rows(golden.output(), n, 5)?;
+        let orig_top5 = softmax_topk_rows(&orig_logits, n, 5)?;
         let corr_top5 = softmax_topk_rows(&corr_logits, n, 5)?;
         let resil_top5 = resil_logits.as_ref().map(|l| softmax_topk_rows(l, n, 5)).transpose()?;
         let rows = (0..n)
@@ -747,28 +750,10 @@ pub(crate) fn classify_row(row: &ClassificationRow) -> EffectClass {
     }
 }
 
-/// Arms the scope's faults on `net` in place, runs `forward` on it and
-/// disarms them bit-exactly again, on the error path too. Returns the
-/// output and the faults applied during the pass.
-fn armed_forward(
-    net: &mut Network,
-    targets: &[LayerTarget],
-    ctx: &ScopeCtx<'_>,
-    rec: &Recorder,
-    forward: impl FnOnce(&Network) -> Result<Tensor, alfi_nn::NnError>,
-) -> Result<(Tensor, Vec<AppliedFault>), CoreError> {
-    let worker = alfi_pool::worker_index();
-    let armed = {
-        let _span = rec.span_on(Phase::Inject, worker);
-        arm_faults(&mut [&mut *net], targets, ctx.faults, ctx.scenario.injection_target)?
-    };
-    let out = {
-        let _span = rec.span_on(Phase::Forward, worker);
-        forward(net)
-    };
-    let applied = armed.collect_applied();
-    armed.disarm(&mut [net]);
-    Ok((out?, applied))
+/// The one network a classification model instance arms: the
+/// [`armed_pass`] accessor for a bare [`Network`].
+fn one_network(net: &mut Network) -> Vec<&mut Network> {
+    vec![net]
 }
 
 /// Top-k `(class, probability)` of the first `n` rows of batch logits
@@ -781,6 +766,7 @@ fn softmax_topk_rows(logits: &Tensor, n: usize, k: usize) -> Result<Vec<TopK>, C
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::injector::arm_faults;
     use alfi_datasets::classification::ClassificationDataset;
     use alfi_nn::models::{alexnet, ModelConfig};
     use alfi_scenario::{FaultCount, FaultMode, InjectionTarget};
@@ -1190,8 +1176,12 @@ mod tests {
             assert_eq!(weight_bits(hardened.as_ref().unwrap()), weight_bits(&model));
             assert_eq!(faulty.num_hooks(), 0, "monitor hooks are removed");
         };
-        // Nested, so the two calls take both instances.
-        instances.with(|a| instances.with(|b| [a, b].into_iter().for_each(check)));
+        // One instance per scope the pool runs at once; nested, so the
+        // calls take every one of them.
+        match alfi_pool::global().effective_threads(2) {
+            1 => instances.with(check),
+            _ => instances.with(|a| instances.with(|b| [a, b].into_iter().for_each(check))),
+        }
     }
 
     #[test]

@@ -20,10 +20,11 @@
 use crate::artifact::{ArtifactSink, Artifacts, ColumnarSink};
 use crate::campaign::classification::fault_columns;
 use crate::campaign::config::RunConfig;
-use crate::campaign::engine::{lock, CampaignTask, Engine, Instances, ScopeCtx, ScopeSink};
+use crate::campaign::engine::{
+    armed_pass, lock, CampaignTask, Engine, Instances, ScopeCtx, ScopeSink,
+};
 use crate::error::CoreError;
 use crate::fault::AppliedFault;
-use crate::injector::arm_faults;
 use crate::matrix::{FaultMatrix, LayerTarget};
 use crate::monitor::{attach_monitor, NanInfMonitor};
 use crate::persist::{save_fault_matrix, RunTrace, TraceEntry};
@@ -518,9 +519,9 @@ fn classify_detection_row(row: &DetectionRow) -> EffectClass {
     }
 }
 
-/// Arms the scope's faults on `det` in place, detects and disarms them
-/// bit-exactly again, on the error path too. Returns the detections and
-/// the faults applied during the pass.
+/// Detects on `det` under the scope's faults ([`armed_pass`]), so the
+/// detector comes back pristine. Returns the detections and the faults
+/// applied during the pass.
 fn armed_detect<D: Detector + ?Sized>(
     det: &mut D,
     targets: &[LayerTarget],
@@ -528,18 +529,8 @@ fn armed_detect<D: Detector + ?Sized>(
     image: &Tensor,
     rec: &Recorder,
 ) -> Result<(Vec<Detection>, Vec<AppliedFault>), CoreError> {
-    let worker = alfi_pool::worker_index();
-    let armed = {
-        let _span = rec.span_on(Phase::Inject, worker);
-        arm_faults(&mut det.networks_mut(), targets, ctx.faults, ctx.scenario.injection_target)?
-    };
-    let out = {
-        let _span = rec.span_on(Phase::Forward, worker);
-        det.detect(image)
-    };
-    let applied = armed.collect_applied();
-    armed.disarm(&mut det.networks_mut());
-    Ok((out?.remove(0), applied))
+    let (mut out, applied) = armed_pass(det, D::networks_mut, targets, ctx, rec, |d| d.detect(image))?;
+    Ok((out.remove(0), applied))
 }
 
 #[cfg(test)]

@@ -43,8 +43,8 @@ use crate::artifact::{ArtifactSink, Artifacts};
 use crate::campaign::config::RunConfig;
 use crate::campaign::stop::{ScopeDecision, StopReport, StopState};
 use crate::error::CoreError;
-use crate::fault::FaultRecord;
-use crate::injector::injection_event;
+use crate::fault::{AppliedFault, FaultRecord};
+use crate::injector::{arm_faults, injection_event};
 use crate::matrix::{FaultMatrix, LayerTarget};
 use crate::persist::{save_events, save_fault_matrix, save_metrics, RunTrace, TraceEntry};
 use alfi_metrics::{names, Class, Counter, HealthSink, Histogram, Registry, Watchdog};
@@ -87,7 +87,9 @@ pub struct Instances<T> {
 }
 
 impl<T> Instances<T> {
-    /// Builds `max(threads, 1)` instances with `make`.
+    /// Builds one instance with `make` per scope that runs at once when
+    /// the engine runs `threads` scopes on the global pool: `threads`
+    /// as the pool clamps it, at least 1 and at most `max(threads, 1)`.
     ///
     /// # Errors
     ///
@@ -96,7 +98,8 @@ impl<T> Instances<T> {
         threads: usize,
         make: impl FnMut() -> Result<T, CoreError>,
     ) -> Result<Self, CoreError> {
-        let free = std::iter::repeat_with(make).take(threads.max(1)).collect::<Result<_, _>>()?;
+        let count = alfi_pool::global().effective_threads(threads);
+        let free = std::iter::repeat_with(make).take(count).collect::<Result<_, _>>()?;
         Ok(Instances { free: Mutex::new(free) })
     }
 
@@ -121,6 +124,35 @@ impl<T> Instances<T> {
 /// stacks, borrowed detectors) is valid at every step.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Arms the scope's faults in place on the networks `nets` reaches in
+/// `model`, runs `pass` on it and disarms them bit-exactly again, on
+/// the pass's error path too, so that `model` comes back as it was.
+/// Returns the pass's output and the faults applied during it.
+pub(crate) fn armed_pass<M: ?Sized, R, E>(
+    model: &mut M,
+    nets: fn(&mut M) -> Vec<&mut alfi_nn::Network>,
+    targets: &[LayerTarget],
+    ctx: &ScopeCtx<'_>,
+    rec: &Recorder,
+    pass: impl FnOnce(&M) -> Result<R, E>,
+) -> Result<(R, Vec<AppliedFault>), CoreError>
+where
+    CoreError: From<E>,
+{
+    let worker = alfi_pool::worker_index();
+    let armed = {
+        let _span = rec.span_on(Phase::Inject, worker);
+        arm_faults(&mut nets(model), targets, ctx.faults, ctx.scenario.injection_target)?
+    };
+    let out = {
+        let _span = rec.span_on(Phase::Forward, worker);
+        pass(model)
+    };
+    let applied = armed.collect_applied();
+    armed.disarm(&mut nets(model));
+    Ok((out?, applied))
 }
 
 /// A campaign workload the [`Engine`] can drive.

@@ -130,9 +130,26 @@ impl Activations {
         self.nodes[self.output].as_ref().expect("the output node is always evaluated")
     }
 
-    /// The activation of node `id`; `None` after the output node.
+    /// The activation of node `id`; `None` after the output node or
+    /// once [released](Self::retain_prefix).
     pub fn node(&self, id: NodeId) -> Option<&Tensor> {
         self.nodes.get(id).and_then(Option::as_ref)
+    }
+
+    /// Releases the activations of nodes `from..` except the output's:
+    /// a [resume](Network::forward_resume) from `from` reads none of
+    /// them.
+    pub fn retain_prefix(&mut self, from: NodeId) {
+        for (id, act) in self.nodes.iter_mut().enumerate().skip(from) {
+            if id != self.output {
+                *act = None;
+            }
+        }
+    }
+
+    /// The output node's activation, releasing every other one.
+    pub fn into_output(mut self) -> Tensor {
+        self.nodes.swap_remove(self.output).expect("the output node is always evaluated")
     }
 }
 

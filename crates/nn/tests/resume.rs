@@ -56,6 +56,20 @@ fn assert_resume_is_exact(net: &Network, x: &Tensor) {
             net.name()
         );
 
+        // Releasing what a resume from `from` does not read changes
+        // nothing, and the output survives the release.
+        let mut kept = golden.clone();
+        kept.retain_prefix(from);
+        assert_eq!(kept.node(from).is_some(), from == out);
+        let resumed = net.forward_resume(x, &kept, from, &off).unwrap();
+        assert_eq!(
+            bits(&resumed),
+            bits(&full),
+            "{}: resume from node {from} after the release",
+            net.name()
+        );
+        assert_eq!(bits(&kept.into_output()), bits(&full));
+
         let mut faulty = net.clone();
         let hook = |_: &LayerCtx, t: &mut Tensor| {
             for v in t.data_mut().iter_mut().step_by(3) {

@@ -440,8 +440,10 @@ impl ThreadPool {
     }
 
     /// Clamps a requested thread count against the pool's policy and
-    /// the calling context (nested calls run sequentially).
-    fn effective_threads(&self, requested: usize) -> usize {
+    /// the calling context (nested calls run sequentially): the most
+    /// tasks a job submitted from this thread with `requested` threads
+    /// runs at once.
+    pub fn effective_threads(&self, requested: usize) -> usize {
         if in_parallel_task() {
             return 1;
         }
